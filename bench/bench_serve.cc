@@ -381,7 +381,6 @@ main(int argc, char **argv)
         ShardRouterConfig fcfg;
         fcfg.numShards = fleet_shards;
         fcfg.replication = fleet_replication;
-        fcfg.routerThreads = 4;
         fcfg.maxAttempts = 3;
         fcfg.shard.workers = fleet_workers_per_shard;
         fcfg.shard.tilePixels = tile;

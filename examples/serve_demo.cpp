@@ -200,7 +200,6 @@ main(int argc, char **argv)
         ShardRouterConfig rcfg;
         rcfg.numShards = 4;
         rcfg.replication = 2;
-        rcfg.routerThreads = 4;
         rcfg.shard.workers = 2;
         rcfg.shard.tilePixels = 16;
         rcfg.shard.chunkRays = 2048;
@@ -387,7 +386,6 @@ main(int argc, char **argv)
         ShardRouterConfig rcfg;
         rcfg.numShards = 2;
         rcfg.replication = 1; // no failover: the stall must be felt
-        rcfg.routerThreads = 2;
         rcfg.shard.workers = 2;
         rcfg.shard.tilePixels = 16;
         rcfg.shard.cacheTiles = 0;

@@ -57,7 +57,7 @@ struct TraceSpan
 
 /**
  * The TraceContext of one request. Spans append from any thread
- * (router dispatchers, the scheduler, pool workers -- hedged
+ * (the router's callers and timer, the scheduler, pool workers -- hedged
  * dispatches can even write from two shards at once), so appends are
  * mutex-protected; the request path takes this lock only a handful of
  * times per request.

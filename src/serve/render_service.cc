@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
@@ -11,17 +12,6 @@
 #include "obs/trace.hh"
 
 namespace instant3d {
-
-namespace {
-
-/** Monotonic seconds. */
-double
-now()
-{
-    return monotonicSeconds();
-}
-
-} // namespace
 
 /** In-flight request state shared by its tile jobs. */
 struct RenderService::Pending
@@ -56,7 +46,7 @@ struct RenderService::Pending
         static_cast<uint8_t>(RequestStatus::Ok)};
     std::atomic<int> tilesRendered{0};
     std::atomic<int> tilesCached{0};
-    std::promise<RenderResponse> promise;
+    RenderDone done;
 
     /**
      * TraceContext: adopted from the request (router-owned) or begun
@@ -203,21 +193,44 @@ RenderService::stop()
     stoppedFlag.store(true, std::memory_order_release);
 }
 
-void
-RenderService::completeNow(std::promise<RenderResponse> &promise,
-                           RequestStatus status, int retry_after_ms)
-{
-    RenderResponse resp;
-    resp.status = status;
-    resp.retryAfterMs = retry_after_ms;
-    promise.set_value(std::move(resp));
-}
-
 std::future<RenderResponse>
 RenderService::submit(const RenderRequest &request)
 {
-    std::promise<RenderResponse> promise;
-    std::future<RenderResponse> future = promise.get_future();
+    auto promise = std::make_shared<std::promise<RenderResponse>>();
+    std::future<RenderResponse> future = promise->get_future();
+    submit(request, [promise](RenderResponse resp) {
+        promise->set_value(std::move(resp));
+    });
+    return future;
+}
+
+void
+RenderService::submit(const RenderRequest &request, RenderDone done)
+{
+    // TraceContext: adopt the router's trace, or begin one here --
+    // this service is then the first tracing-aware layer, owns the
+    // trace, and completes it (in finishTile for admitted requests,
+    // via answerEarly below otherwise).
+    obs::RequestTracePtr trace = request.trace;
+    bool owns_trace = false;
+    if (!trace) {
+        trace = obs::beginTrace(request.sceneId); // null when disabled
+        owns_trace = trace != nullptr;
+    }
+    // The span closes before the request can complete, so no trace is
+    // answered with its admission span still missing.
+    std::optional<obs::ScopedSpan> admission;
+    admission.emplace(trace.get(), "serve.admission", obsGroup, 0);
+    auto answerEarly = [&](RequestStatus status, int retry_after_ms) {
+        admission.reset();
+        if (trace) {
+            trace->note("status", requestStatusName(status));
+            if (owns_trace)
+                obs::TraceRing::global().complete(
+                    trace, (monotonicSeconds() - trace->beginT()) * 1e3);
+        }
+        done(statusResponse(status, retry_after_ms));
+    };
 
     if (request.camera.width < 1 || request.camera.height < 1 ||
         static_cast<int>(request.quality) < 0 ||
@@ -225,56 +238,27 @@ RenderService::submit(const RenderRequest &request)
         static_cast<int>(request.minQuality) < 0 ||
         static_cast<int>(request.minQuality) >= numQualityTiers) {
         statBadRequest.fetch_add(1, std::memory_order_relaxed);
-        completeNow(promise, RequestStatus::BadRequest, 0);
-        return future;
+        return answerEarly(RequestStatus::BadRequest, 0);
     }
-
-    // TraceContext: adopt the router's trace, or begin one here --
-    // this service is then the first tracing-aware layer, owns the
-    // trace, and completes it (in finishTile for admitted requests,
-    // via finishEarly below otherwise).
-    obs::RequestTracePtr trace = request.trace;
-    bool owns_trace = false;
-    if (!trace) {
-        trace = obs::beginTrace(request.sceneId); // null when disabled
-        owns_trace = trace != nullptr;
-    }
-    obs::ScopedSpan admission(trace.get(), "serve.admission", obsGroup,
-                              0);
-    auto finishEarly = [&](const char *status) {
-        if (!trace)
-            return;
-        trace->note("status", status);
-        if (owns_trace)
-            obs::TraceRing::global().complete(
-                trace, (now() - trace->beginT()) * 1e3);
-    };
 
     // Capacity-aware acquire: a warm scene is pinned by this request's
     // shared_ptr for its whole lifetime (eviction can never drop an
     // in-flight render); a cold scene answers ColdStart immediately --
     // the acquire itself begins (or joins) the single-flight reload --
-    // so no client or router dispatcher thread ever blocks on a
-    // checkpoint load here.
+    // so no client or router thread ever blocks on a checkpoint load
+    // here.
     AcquireOutcome acq = registry.acquireOrLoad(request.sceneId);
     if (acq.state == SceneState::Absent) {
         statUnknownScene.fetch_add(1, std::memory_order_relaxed);
-        finishEarly("unknown_scene");
-        completeNow(promise, RequestStatus::UnknownScene, 0);
-        return future;
+        return answerEarly(RequestStatus::UnknownScene, 0);
     }
     if (acq.state == SceneState::Quarantined) {
         statSceneUnavailable.fetch_add(1, std::memory_order_relaxed);
-        finishEarly("scene_unavailable");
-        completeNow(promise, RequestStatus::SceneUnavailable, 0);
-        return future;
+        return answerEarly(RequestStatus::SceneUnavailable, 0);
     }
     if (!acq.scene) { // Cold or Loading: reload in flight.
         statColdStart.fetch_add(1, std::memory_order_relaxed);
-        finishEarly("cold_start");
-        completeNow(promise, RequestStatus::ColdStart,
-                    acq.retryAfterMs);
-        return future;
+        return answerEarly(RequestStatus::ColdStart, acq.retryAfterMs);
     }
     ServedScenePtr scene = std::move(acq.scene);
 
@@ -292,9 +276,7 @@ RenderService::submit(const RenderRequest &request)
     if (roi.w < 1 || roi.h < 1 || roi.x < 0 || roi.y < 0 ||
         roi.x + roi.w > spec.width || roi.y + roi.h > spec.height) {
         statBadRequest.fetch_add(1, std::memory_order_relaxed);
-        finishEarly("bad_request");
-        completeNow(promise, RequestStatus::BadRequest, 0);
-        return future;
+        return answerEarly(RequestStatus::BadRequest, 0);
     }
 
     // Tile split (row-major over the roi).
@@ -310,9 +292,7 @@ RenderService::submit(const RenderRequest &request)
     // can ever admit it, so don't pretend the overload is transient.
     if (tiles.size() > static_cast<size_t>(cfg.maxQueueTiles)) {
         statBadRequest.fetch_add(1, std::memory_order_relaxed);
-        finishEarly("bad_request");
-        completeNow(promise, RequestStatus::BadRequest, 0);
-        return future;
+        return answerEarly(RequestStatus::BadRequest, 0);
     }
 
     auto req = std::make_shared<Pending>(spec.makeCamera());
@@ -330,12 +310,11 @@ RenderService::submit(const RenderRequest &request)
     // to it (a request cannot forbid the tier it asked for).
     req->minTier = std::max(static_cast<int>(request.quality),
                             static_cast<int>(request.minQuality));
-    req->submitT = now();
+    req->submitT = monotonicSeconds();
     req->deadlineMs = request.deadlineMs;
     req->image = Image(roi.w, roi.h);
     req->remaining.store(static_cast<int>(tiles.size()),
                          std::memory_order_relaxed);
-    req->promise = std::move(promise);
     req->trace = trace;
     req->ownsTrace = owns_trace;
 
@@ -344,13 +323,13 @@ RenderService::submit(const RenderRequest &request)
     // tier captured under the lock rather than re-reading the shared
     // field after publication.
     int admitted_tier = req->servedTier;
+    // A refusal is decided under the queue lock but answered after it:
+    // the callback may submit to another service, so it never runs
+    // while this one holds a lock.
+    RequestStatus refusal = RequestStatus::Ok;
+    int hint = 0;
     {
         std::lock_guard<std::mutex> lock(queueMtx);
-        if (stopping) {
-            finishEarly("shutdown");
-            completeNow(req->promise, RequestStatus::Shutdown, 0);
-            return future;
-        }
         // Backpressure: bounded admission over *outstanding* tiles
         // (queued + rendering). Past maxQueueTiles the request is
         // degraded one tier per full window of depth (when policy and
@@ -360,7 +339,9 @@ RenderService::submit(const RenderRequest &request)
             outstandingTiles.load(std::memory_order_relaxed);
         const size_t depth = outstanding + tiles.size();
         const size_t window = static_cast<size_t>(cfg.maxQueueTiles);
-        if (depth > window) {
+        if (stopping) {
+            refusal = RequestStatus::Shutdown;
+        } else if (depth > window) {
             bool admitted = false;
             if (cfg.degradeUnderLoad) {
                 const size_t hard_cap =
@@ -398,44 +379,48 @@ RenderService::submit(const RenderRequest &request)
                     static_cast<double>(
                         std::max(outstanding, window)) /
                     static_cast<double>(window);
-                const int hint = std::max(
-                    1, static_cast<int>(
-                           std::ceil(cfg.retryAfterMs * scale)));
-                statRejected.fetch_add(1, std::memory_order_relaxed);
-                finishEarly("rejected");
-                completeNow(req->promise, RequestStatus::Rejected,
-                            hint);
-                return future;
+                hint = std::max(1, static_cast<int>(
+                                       std::ceil(cfg.retryAfterMs * scale)));
+                refusal = RequestStatus::Rejected;
             }
         }
-        // Two-level demand queue: deadline-bearing tiles go to the EDF
-        // level keyed by absolute deadline (one request's tiles share
-        // the key and stay contiguous), the rest keep arrival order.
-        if (req->deadlineMs > 0.0) {
-            const double deadline_at =
-                req->submitT + req->deadlineMs / 1e3;
-            for (const auto &t : tiles)
-                deadlineQueue.emplace(deadline_at,
-                                      TileJob{req, nullptr, t});
-        } else {
-            for (const auto &t : tiles)
-                fifoQueue.push_back({req, nullptr, t});
+        if (refusal == RequestStatus::Ok) {
+            admission.reset();
+            req->done = std::move(done);
+            // Two-level demand queue: deadline-bearing tiles go to the
+            // EDF level keyed by absolute deadline (one request's tiles
+            // share the key and stay contiguous), the rest keep arrival
+            // order.
+            if (req->deadlineMs > 0.0) {
+                const double deadline_at =
+                    req->submitT + req->deadlineMs / 1e3;
+                for (const auto &t : tiles)
+                    deadlineQueue.emplace(deadline_at,
+                                          TileJob{req, nullptr, t});
+            } else {
+                for (const auto &t : tiles)
+                    fifoQueue.push_back({req, nullptr, t});
+            }
+            uint64_t new_depth =
+                outstandingTiles.fetch_add(tiles.size(),
+                                           std::memory_order_relaxed) +
+                tiles.size();
+            uint64_t hw =
+                statQueueHighwater.load(std::memory_order_relaxed);
+            while (new_depth > hw &&
+                   !statQueueHighwater.compare_exchange_weak(
+                       hw, new_depth, std::memory_order_relaxed)) {
+            }
+            admitted_tier = req->servedTier;
         }
-        uint64_t new_depth =
-            outstandingTiles.fetch_add(tiles.size(),
-                                       std::memory_order_relaxed) +
-            tiles.size();
-        uint64_t hw = statQueueHighwater.load(std::memory_order_relaxed);
-        while (new_depth > hw &&
-               !statQueueHighwater.compare_exchange_weak(
-                   hw, new_depth, std::memory_order_relaxed)) {
-        }
-        admitted_tier = req->servedTier;
     }
+    if (refusal == RequestStatus::Rejected)
+        statRejected.fetch_add(1, std::memory_order_relaxed);
+    if (refusal != RequestStatus::Ok)
+        return answerEarly(refusal, hint);
     statAccepted.fetch_add(1, std::memory_order_relaxed);
     queueCv.notify_one();
     maybeEnqueuePrefetch(request, req->scene, roi, admitted_tier);
-    return future;
 }
 
 namespace {
@@ -557,7 +542,7 @@ RenderService::maybeEnqueuePrefetch(const RenderRequest &request,
 RenderResponse
 RenderService::render(const RenderRequest &request)
 {
-    const double t0 = now();
+    const double t0 = monotonicSeconds();
     RenderResponse resp = submit(request).get();
     // Blocking callers absorb cold starts: wait for the single-flight
     // reload (bounded by the deadline when one is set, else until the
@@ -569,7 +554,7 @@ RenderService::render(const RenderRequest &request)
          attempt++) {
         double wait_ms = 0.0; // 0 = until the load settles
         if (request.deadlineMs > 0.0) {
-            wait_ms = request.deadlineMs - (now() - t0) * 1000.0;
+            wait_ms = request.deadlineMs - (monotonicSeconds() - t0) * 1000.0;
             if (wait_ms <= 0.0)
                 break;
         }
@@ -581,7 +566,7 @@ RenderService::render(const RenderRequest &request)
     // resubmission above, not just the final attempt's queue-to-finish
     // time -- restamp totalMs end-to-end (mirroring what ShardRouter
     // does for routed requests).
-    resp.totalMs = (now() - t0) * 1e3;
+    resp.totalMs = (monotonicSeconds() - t0) * 1e3;
     return resp;
 }
 
@@ -604,7 +589,7 @@ RenderService::finishTile(const std::shared_ptr<Pending> &req,
         return;
 
     // Last tile: whoever gets here completes the request.
-    double t = now();
+    double t = monotonicSeconds();
     RenderResponse resp;
     resp.status = static_cast<RequestStatus>(
         req->failStatus.load(std::memory_order_acquire));
@@ -642,7 +627,7 @@ RenderService::finishTile(const std::shared_ptr<Pending> &req,
             obs::TraceRing::global().complete(req->trace,
                                               resp.totalMs);
     }
-    req->promise.set_value(std::move(resp));
+    req->done(std::move(resp));
 }
 
 void
@@ -653,7 +638,7 @@ RenderService::renderChunk(const Chunk &chunk, int rank)
     fault::maybeDelay(fault::Point::ChunkRenderDelay);
 
     const bool tracing = obs::enabled();
-    const double chunk_t0 = tracing ? now() : 0.0;
+    const double chunk_t0 = tracing ? monotonicSeconds() : 0.0;
 
     Workspace &ws = workspaces[rank];
     ws.reset();
@@ -675,7 +660,7 @@ RenderService::renderChunk(const Chunk &chunk, int rank)
         .renderRays(chunk.scene->field(), rays, chunk.rays, results,
                     ws);
 
-    const double t_rendered = tracing ? now() : 0.0;
+    const double t_rendered = tracing ? monotonicSeconds() : 0.0;
     // When tracing, demand tiles retire *after* the chunk's spans
     // attach to their traces below, so a service-owned trace never
     // completes with its last render span still missing.
@@ -742,7 +727,7 @@ RenderService::renderChunk(const Chunk &chunk, int rank)
                            std::memory_order_relaxed);
 
     if (tracing) {
-        const double t_done = now();
+        const double t_done = monotonicSeconds();
         histChunkMs->record((t_rendered - chunk_t0) * 1e3);
 
         // One render + scatter span per distinct participating
@@ -873,7 +858,7 @@ RenderService::schedulerLoop()
         // admission queue build up deterministically.
         fault::maybeDelay(fault::Point::SchedulerStall);
 
-        const double t = now();
+        const double t = monotonicSeconds();
         std::vector<Chunk> chunks;
         // Open chunk per (scene, tier) coalescing key, so tiles from
         // different requests to the same model pack into one stream.
@@ -1027,7 +1012,7 @@ RenderService::schedulerLoop()
             obs::TraceSpan pass;
             pass.name = "serve.scheduler_pass";
             pass.beginT = t;
-            pass.endT = now();
+            pass.endT = monotonicSeconds();
             pass.trackGroup = obsGroup;
             pass.track = 0;
             pass.args = {{"tiles", std::to_string(drained.size())},

@@ -3,8 +3,9 @@
  * The render service: a synchronous-core, async-facade front end over
  * the registry's trained models.
  *
- * Requests enter through submit() (async, future-based) or render()
- * (blocking). Each accepted request is split into fixed-size tiles
+ * Requests enter through submit() with a completion callback (the one
+ * way the service answers), its future-returning adapter, or the
+ * blocking render(). Each accepted request is split into fixed-size tiles
  * that join a bounded admission queue; a scheduler thread dequeues in
  * two-level priority order -- earliest-deadline-first among
  * deadline-bearing requests, then arrival order for the rest, with
@@ -48,6 +49,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -185,6 +187,14 @@ struct RenderServiceConfig
 };
 
 /**
+ * Completion callback: called exactly once with a request's answer, on
+ * whichever thread settles it (the submitter, the scheduler or a pool
+ * worker) and never under a service lock -- so it may submit anywhere,
+ * but must not stop() the service that answered it.
+ */
+using RenderDone = std::function<void(RenderResponse)>;
+
+/**
  * The serving front end. One instance owns its scheduler thread,
  * ThreadPool, workspaces, and tile cache; the SceneRegistry is shared
  * and may be mutated (re-registration) while the service runs.
@@ -201,10 +211,13 @@ class RenderService
 
     /**
      * Asynchronous entry point: validates and enqueues the request,
-     * returning a future that resolves when every tile is served (or
-     * the request is rejected / expired / shut down). Safe to call
-     * from any number of client threads.
+     * then calls `done` when every tile is served (or the request is
+     * rejected / expired / shut down). Safe to call from any number of
+     * client threads.
      */
+    void submit(const RenderRequest &request, RenderDone done);
+
+    /** submit() with a future in place of the callback. */
     std::future<RenderResponse> submit(const RenderRequest &request);
 
     /**
@@ -294,8 +307,6 @@ class RenderService
     void renderChunk(const Chunk &chunk, int rank);
     void finishTile(const std::shared_ptr<Pending> &req, bool rendered,
                     bool from_cache);
-    static void completeNow(std::promise<RenderResponse> &promise,
-                            RequestStatus status, int retry_after_ms);
 
     /**
      * Motion-predictor hook, called once per admitted request that

@@ -246,6 +246,16 @@ struct RenderResponse
     int degradeLevels = 0;
 };
 
+/** An answer carrying only a status (and a retry hint). */
+inline RenderResponse
+statusResponse(RequestStatus status, int retry_after_ms = 0)
+{
+    RenderResponse resp;
+    resp.status = status;
+    resp.retryAfterMs = retry_after_ms;
+    return resp;
+}
+
 /** Cumulative service counters (RenderService::stats snapshot). */
 struct ServeStats
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 
 #include "common/fault_injection.hh"
 #include "common/stats.hh"
@@ -28,7 +29,30 @@ rendezvousWeight(const std::string &id, int s)
     return h;
 }
 
-constexpr auto pollInterval = std::chrono::microseconds(300);
+/** Router-side classification of a shard's response. */
+ShardOutcome
+classify(const RenderResponse &resp)
+{
+    switch (resp.status) {
+    case RequestStatus::Ok: return ShardOutcome::Ok;
+    case RequestStatus::Rejected: return ShardOutcome::Rejected;
+    case RequestStatus::Shutdown: return ShardOutcome::Crashed;
+    // UnknownScene from a *placed* replica is a placement anomaly,
+    // not a client error: fail over to a replica that has the scene.
+    case RequestStatus::UnknownScene: return ShardOutcome::Failed;
+    // The replica evicted the scene and is reloading it: fail over to
+    // a warm replica, breaker-neutral.
+    case RequestStatus::ColdStart: return ShardOutcome::ColdStart;
+    // Quarantined checkpoint on that replica: another replica's copy
+    // (shared canonical model or its own file) may still serve it.
+    case RequestStatus::SceneUnavailable: return ShardOutcome::Failed;
+    // Client-terminal statuses pass through; the shard answered, so
+    // they are Ok outcomes for the breaker and end the request.
+    case RequestStatus::BadRequest:
+    case RequestStatus::DeadlineExceeded: return ShardOutcome::Ok;
+    }
+    return ShardOutcome::Failed;
+}
 
 } // namespace
 
@@ -62,33 +86,49 @@ struct ShardRouter::Shard
         nBreakerHalfOpens{0}, nBreakerCloses{0}, nColdStarts{0};
 };
 
-/** One routed request waiting for a dispatcher. */
-struct ShardRouter::Job
-{
-    std::promise<RenderResponse> promise;
-    RenderRequest request;
-    double submitT = 0.0;
-    /** The router began request.trace (and so completes it). */
-    bool ownsTrace = false;
-};
-
 /**
- * One router->shard dispatch. Either a live future from the shard's
- * service, or an immediately-faulted outcome (fault injection or a
- * dead/draining shard caught at handoff). `readyAfter` is the
- * shard.stall mask: the response is not *observable* before that
- * instant even if the future resolves earlier -- modeling a slow
- * replica without blocking a dispatcher thread in a sleep.
+ * One router->shard dispatch still awaiting its outcome. The tried mask
+ * never sends a request to one shard twice, so the shard names it.
  */
 struct ShardRouter::Dispatch
 {
     int shard = -1;
-    bool issued = false;
-    std::future<RenderResponse> fut;
-    double readyAfter = 0.0;
-    ShardOutcome fault = ShardOutcome::Ok; //!< Valid when !issued.
     bool hedge = false;
     double startT = 0.0;
+    /** shard.stall mask: an earlier answer is re-timed to arrive here
+     *  (a slow replica, modeled without holding any thread). */
+    double readyAfter = 0.0;
+};
+
+/**
+ * One routed request. Events (shard answers, timers) queue in
+ * `events`; the thread that finds the request idle handles them one at
+ * a time, so the routing state below needs no lock of its own, and an
+ * answer delivered inside a dispatch just queues behind it.
+ */
+struct ShardRouter::Route
+{
+    RenderRequest request;
+    std::promise<RenderResponse> promise;
+    double submitT = 0.0;
+    double deadlineT = 0.0; //!< Absolute; 0 = no deadline.
+    /** The router began request.trace (and so completes it). */
+    bool ownsTrace = false;
+
+    std::vector<int> order; //!< Rotated replica preference.
+    uint32_t tried = 0;
+    int attempts = 0;
+    bool hedged = false;
+    /** Largest retry hint from a cold replica: if every replica is
+     *  cold, the client's Rejected says when a reload may be done. */
+    int coldHint = 0;
+    /** 1 primary + at most 1 hedge; once done, the abandoned ones. */
+    std::vector<Dispatch> active;
+    bool done = false;
+
+    std::mutex mtx; //!< Guards `events` and `handling`.
+    std::deque<Event> events;
+    bool handling = false;
 };
 
 ShardRouter::ShardRouter(const ShardRouterConfig &router_config)
@@ -98,7 +138,6 @@ ShardRouter::ShardRouter(const ShardRouterConfig &router_config)
     cfg.numShards = std::min(32, std::max(1, cfg.numShards));
     cfg.replication = std::min(cfg.numShards,
                                std::max(1, cfg.replication));
-    cfg.routerThreads = std::max(1, cfg.routerThreads);
     cfg.maxAttempts = std::max(1, cfg.maxAttempts);
     cfg.retryBackoffMs = std::max(0, cfg.retryBackoffMs);
     cfg.shardTimeoutMs = std::max(0.0, cfg.shardTimeoutMs);
@@ -136,31 +175,31 @@ ShardRouter::ShardRouter(const ShardRouterConfig &router_config)
                      statColdStartFailovers.load());
     });
 
-    dispatchers.reserve(static_cast<size_t>(cfg.routerThreads));
-    for (int t = 0; t < cfg.routerThreads; t++)
-        dispatchers.emplace_back([this] { dispatcherLoop(); });
+    timer = std::thread([this] { timerLoop(); });
 }
 
 ShardRouter::~ShardRouter()
 {
     obs::MetricsRegistry::global().removeCollector(obsCollector);
-    stopping.store(true, std::memory_order_release);
     {
-        std::lock_guard<std::mutex> lock(jobMtx);
-        jobStopping = true;
+        // Under the timer lock, so the timer cannot miss it between
+        // its check and its wait.
+        std::lock_guard<std::mutex> lock(timerMtx);
+        stopping.store(true, std::memory_order_release);
     }
-    jobCv.notify_all();
-    for (auto &t : dispatchers)
-        t.join();
-    // Dispatchers drain the queue (routeOne answers Shutdown once
-    // `stopping` is set); anything left never reached a dispatcher.
-    for (auto &job : jobs) {
-        RenderResponse resp;
-        resp.status = RequestStatus::Shutdown;
-        job->promise.set_value(std::move(resp));
-    }
-    // Shard services stop in their destructors (queued shard requests
-    // resolve Shutdown; no router-side future is still waiting).
+    timerCv.notify_all();
+    timer.join();
+    // Stopped shards answer their queued requests Shutdown, and with
+    // `stopping` set a request resolves Shutdown instead of failing
+    // over (or crashing the shard whose thread delivered the answer).
+    for (auto &shard : shards)
+        shard->service->stop();
+    // What is left waits on a timer alone (a backoff, a stall mask),
+    // and no other thread is left to race this.
+    for (auto &kv : timers)
+        if (!kv.second.first->done)
+            finish(*kv.second.first,
+                   statusResponse(RequestStatus::Shutdown));
 }
 
 // ----------------------------------------------------------- scenes
@@ -202,18 +241,17 @@ ShardRouter::rendezvousOrder(const std::string &id) const
 }
 
 void
-ShardRouter::seedPlacement(const std::string &id)
+ShardRouter::fillReplicas(const std::string &id, std::vector<int> &replicas)
 {
+    // Top the set up to R on live shards in rendezvous preference
+    // order. A replica is a pointer insert of the canonical scene, not
+    // a model copy or reload.
     ServedScenePtr scene = master.acquire(id);
-    if (!scene)
-        return;
-    std::vector<int> order = rendezvousOrder(id);
-
-    std::lock_guard<std::mutex> place_lock(placementMtx);
-    std::vector<int> placed;
-    for (int s : order) {
-        if (static_cast<int>(placed.size()) >= cfg.replication)
-            break;
+    for (int s : rendezvousOrder(id)) {
+        if (!scene || static_cast<int>(replicas.size()) >= cfg.replication)
+            return;
+        if (std::find(replicas.begin(), replicas.end(), s) != replicas.end())
+            continue;
         Shard &shard = *shards[static_cast<size_t>(s)];
         {
             std::lock_guard<std::mutex> lock(shard.mtx);
@@ -221,23 +259,25 @@ ShardRouter::seedPlacement(const std::string &id)
                 continue;
         }
         shard.registry.publishShared(id, scene);
-        placed.push_back(s);
+        replicas.push_back(s);
     }
-    placements[id] = std::move(placed);
 }
 
-std::vector<int>
-ShardRouter::placementSnapshot(const std::string &id) const
+void
+ShardRouter::seedPlacement(const std::string &id)
 {
-    std::lock_guard<std::mutex> lock(placementMtx);
-    auto it = placements.find(id);
-    return it == placements.end() ? std::vector<int>{} : it->second;
+    std::lock_guard<std::mutex> place_lock(placementMtx);
+    std::vector<int> placed;
+    fillReplicas(id, placed);
+    placements[id] = std::move(placed);
 }
 
 std::vector<int>
 ShardRouter::placement(const std::string &id) const
 {
-    return placementSnapshot(id);
+    std::lock_guard<std::mutex> lock(placementMtx);
+    auto it = placements.find(id);
+    return it == placements.end() ? std::vector<int>{} : it->second;
 }
 
 void
@@ -245,32 +285,11 @@ ShardRouter::replaceScenesOf(int s)
 {
     std::lock_guard<std::mutex> place_lock(placementMtx);
     for (auto &kv : placements) {
-        auto &replicas = kv.second;
-        auto pos = std::find(replicas.begin(), replicas.end(), s);
-        if (pos == replicas.end())
+        auto pos = std::find(kv.second.begin(), kv.second.end(), s);
+        if (pos == kv.second.end())
             continue;
-        replicas.erase(pos);
-
-        // Restore the replication factor on the next live shard in
-        // rendezvous preference order. Re-placement is a pointer
-        // insert of the canonical scene, not a model copy or reload.
-        for (int cand : rendezvousOrder(kv.first)) {
-            if (std::find(replicas.begin(), replicas.end(), cand) !=
-                replicas.end())
-                continue;
-            Shard &shard = *shards[static_cast<size_t>(cand)];
-            {
-                std::lock_guard<std::mutex> lock(shard.mtx);
-                if (!shard.alive || shard.draining)
-                    continue;
-            }
-            ServedScenePtr scene = master.acquire(kv.first);
-            if (scene) {
-                shard.registry.publishShared(kv.first, scene);
-                replicas.push_back(cand);
-            }
-            break;
-        }
+        kv.second.erase(pos);
+        fillReplicas(kv.first, kv.second); // Restore R where possible.
     }
 }
 
@@ -280,19 +299,11 @@ void
 ShardRouter::recordOutcome(int s, ShardOutcome outcome)
 {
     Shard &shard = *shards[static_cast<size_t>(s)];
-    switch (outcome) {
-    case ShardOutcome::Ok: shard.nServed.fetch_add(1); break;
-    case ShardOutcome::Rejected: shard.nRejected.fetch_add(1); break;
-    case ShardOutcome::Timeout: shard.nTimeouts.fetch_add(1); break;
-    case ShardOutcome::Failed:
-    case ShardOutcome::Crashed: shard.nFailed.fetch_add(1); break;
-    case ShardOutcome::ColdStart: shard.nColdStarts.fetch_add(1); break;
-    }
-
     std::lock_guard<std::mutex> lock(shard.mtx);
     shard.probeInFlight = false;
     switch (outcome) {
     case ShardOutcome::Ok:
+        shard.nServed.fetch_add(1);
         shard.consecutiveFailures = 0;
         if (shard.breaker == BreakerState::HalfOpen) {
             shard.breaker = BreakerState::Closed;
@@ -303,15 +314,19 @@ ShardRouter::recordOutcome(int s, ShardOutcome outcome)
         // Backpressure is breaker-neutral: a busy shard is not a sick
         // shard. A rejected half-open probe neither closes nor reopens
         // the breaker -- the next candidate pass probes again.
+        shard.nRejected.fetch_add(1);
         break;
     case ShardOutcome::ColdStart:
         // Breaker-neutral for the same reason: a shard reloading an
         // evicted scene is healthy, just cold for this scene. The
         // router fails over; the reload proceeds in the background.
+        shard.nColdStarts.fetch_add(1);
         break;
     case ShardOutcome::Timeout:
     case ShardOutcome::Failed:
     case ShardOutcome::Crashed:
+        (outcome == ShardOutcome::Timeout ? shard.nTimeouts : shard.nFailed)
+            .fetch_add(1);
         shard.consecutiveFailures++;
         if (shard.breaker == BreakerState::HalfOpen ||
             (shard.breaker == BreakerState::Closed &&
@@ -340,8 +355,8 @@ ShardRouter::pickReplica(const std::vector<int> &order, uint32_t tried)
             return s;
         case BreakerState::Open:
             // Lazy Open -> HalfOpen at candidate selection: the
-            // cooldown has no timer thread; the first request to look
-            // at the shard after breakerOpenMs becomes the probe.
+            // cooldown sets no timer; the first request to look at the
+            // shard after breakerOpenMs becomes the probe.
             if (now - shard.openedAt >= cfg.breakerOpenMs / 1e3) {
                 shard.breaker = BreakerState::HalfOpen;
                 shard.nBreakerHalfOpens.fetch_add(1);
@@ -360,120 +375,11 @@ ShardRouter::pickReplica(const std::vector<int> &order, uint32_t tried)
     return -1;
 }
 
-// --------------------------------------------------------- dispatch
+// ----------------------------------------------------------- routing
 
-ShardRouter::Dispatch
-ShardRouter::dispatchTo(int s, const RenderRequest &request)
+std::vector<int>
+ShardRouter::rotatedPlacement(const RenderRequest &request) const
 {
-    Dispatch d;
-    d.shard = s;
-    d.startT = monotonicSeconds();
-
-    // Fleet fault points, checked in dispatch order. A crash takes
-    // the whole shard down (scenes re-place; queued shard requests
-    // resolve Shutdown); a fail costs only this attempt; a stall
-    // delays observability of the response without holding a thread.
-    if (fault::shouldFire(fault::Point::ShardCrash)) {
-        crashShard(s, true);
-        d.fault = ShardOutcome::Crashed;
-        return d;
-    }
-    if (fault::shouldFire(fault::Point::ShardFail)) {
-        d.fault = ShardOutcome::Failed;
-        return d;
-    }
-    bool stalled = fault::shouldFire(fault::Point::ShardStall);
-
-    Shard &shard = *shards[static_cast<size_t>(s)];
-    {
-        // Submit under the shard mutex so a drain that has set
-        // `draining` is guaranteed to see no later admissions.
-        std::lock_guard<std::mutex> lock(shard.mtx);
-        if (!shard.alive || shard.draining) {
-            d.fault = ShardOutcome::Failed;
-            return d;
-        }
-        d.fut = shard.service->submit(request);
-    }
-    shard.nDispatched.fetch_add(1);
-    d.issued = true;
-    if (stalled)
-        d.readyAfter = d.startT +
-            fault::armedDelayMs(fault::Point::ShardStall) / 1e3;
-    return d;
-}
-
-namespace {
-
-/** Router-side classification of a shard's response. */
-ShardOutcome
-classify(const RenderResponse &resp)
-{
-    switch (resp.status) {
-    case RequestStatus::Ok: return ShardOutcome::Ok;
-    case RequestStatus::Rejected: return ShardOutcome::Rejected;
-    case RequestStatus::Shutdown: return ShardOutcome::Crashed;
-    // UnknownScene from a *placed* replica is a placement anomaly,
-    // not a client error: fail over to a replica that has the scene.
-    case RequestStatus::UnknownScene: return ShardOutcome::Failed;
-    // The replica evicted the scene and is reloading it: fail over to
-    // a warm replica, breaker-neutral.
-    case RequestStatus::ColdStart: return ShardOutcome::ColdStart;
-    // Quarantined checkpoint on that replica: another replica's copy
-    // (shared canonical model or its own file) may still serve it.
-    case RequestStatus::SceneUnavailable: return ShardOutcome::Failed;
-    // Client-terminal statuses pass through; the shard answered, so
-    // they are health-neutral Ok outcomes for the breaker.
-    case RequestStatus::BadRequest:
-    case RequestStatus::DeadlineExceeded: return ShardOutcome::Ok;
-    }
-    return ShardOutcome::Failed;
-}
-
-bool
-requestTerminal(const RenderResponse &resp)
-{
-    return resp.status == RequestStatus::Ok ||
-           resp.status == RequestStatus::BadRequest ||
-           resp.status == RequestStatus::DeadlineExceeded;
-}
-
-RenderResponse
-statusResponse(RequestStatus status, double submit_t, int retry_ms)
-{
-    RenderResponse resp;
-    resp.status = status;
-    resp.retryAfterMs = retry_ms;
-    resp.totalMs = (monotonicSeconds() - submit_t) * 1e3;
-    return resp;
-}
-
-} // namespace
-
-RenderResponse
-ShardRouter::routeOne(const RenderRequest &request, double submit_t)
-{
-    // Router queue wait: client submit() to dispatcher pickup.
-    if (request.trace) {
-        obs::TraceSpan span;
-        span.name = "router.queue_wait";
-        span.beginT = submit_t;
-        span.endT = monotonicSeconds();
-        span.trackGroup = obsGroup;
-        span.track = 0;
-        request.trace->addSpan(std::move(span));
-    }
-
-    std::vector<int> order = placementSnapshot(request.sceneId);
-    if (order.empty()) {
-        if (!master.acquire(request.sceneId))
-            return statusResponse(RequestStatus::UnknownScene,
-                                  submit_t, 0);
-        statNoReplica.fetch_add(1);
-        return statusResponse(RequestStatus::Rejected, submit_t,
-                              cfg.shard.retryAfterMs);
-    }
-
     // Camera-keyed rotation of the replica preference order: the same
     // viewpoint lands on the same replica while replicas are healthy,
     // so the per-shard tile caches see coherent streams instead of
@@ -482,207 +388,315 @@ ShardRouter::routeOne(const RenderRequest &request, double submit_t)
     // on), so with a coarse preview lattice every viewpoint in a cell
     // prefers the same replica -- a cell's cached tiles live in one
     // cache instead of being re-rendered in all R of them.
-    const float route_lattice =
-        cfg.shard.cameraLattice[static_cast<int>(request.quality)];
-    std::rotate(order.begin(),
-                order.begin() +
-                    static_cast<long>(
-                        request.camera.hashKey(route_lattice) %
-                        order.size()),
-                order.end());
+    std::vector<int> order = placement(request.sceneId);
+    if (!order.empty()) {
+        const float lattice =
+            cfg.shard.cameraLattice[static_cast<int>(request.quality)];
+        std::rotate(order.begin(),
+                    order.begin() +
+                        static_cast<long>(request.camera.hashKey(lattice) %
+                                          order.size()),
+                    order.end());
+    }
+    return order;
+}
 
-    const double deadline_t = request.deadlineMs > 0.0
-        ? submit_t + request.deadlineMs / 1e3
-        : 0.0;
-    uint32_t tried = 0;
-    int attempts = 0;
-    bool hedged = false;
-    // Largest load-aware hint seen from a cold replica: if every
-    // replica turns out cold, the client's Rejected carries a "come
-    // back when a reload has plausibly finished" backoff.
-    int cold_hint = 0;
-    std::vector<Dispatch> active; // 1 primary + at most 1 hedge.
-    active.reserve(2);
+void
+ShardRouter::post(const RoutePtr &route, Event ev)
+{
+    std::unique_lock<std::mutex> lock(route->mtx);
+    route->events.push_back(std::move(ev));
+    if (route->handling)
+        return; // The handling thread picks it up in order.
+    route->handling = true;
+    while (!route->events.empty()) {
+        Event next = std::move(route->events.front());
+        route->events.pop_front();
+        lock.unlock();
+        handle(route, next);
+        lock.lock();
+    }
+    route->handling = false;
+}
 
-    auto expired = [&](double now) {
-        return deadline_t > 0.0 && now >= deadline_t;
+void
+ShardRouter::handle(const RoutePtr &route, Event &ev)
+{
+    Route &r = *route;
+    size_t i = 0;
+    while (i < r.active.size() && r.active[i].shard != ev.shard)
+        i++;
+    const bool live = i < r.active.size();
+    if (r.done) {
+        // An abandoned dispatch (past the deadline, or a hedge's loser)
+        // still reports its shard's health -- a half-open probe must
+        // not stay in flight forever -- but its answer is dropped.
+        if (ev.kind == Wake::Answer && live) {
+            recordOutcome(r.active[i].shard, classify(ev.resp));
+            r.active.erase(r.active.begin() + static_cast<long>(i));
+        }
+        return;
+    }
+
+    switch (ev.kind) {
+    case Wake::Attempt: // At submit, and when a backoff ends.
+        return advance(route, true);
+    case Wake::Answer:
+        if (!live)
+            return; // Abandoned: timed out.
+        if (monotonicSeconds() < r.active[i].readyAfter)
+            return schedule(route, r.active[i].readyAfter, std::move(ev));
+        return settle(route, i, classify(ev.resp), std::move(ev.resp));
+    case Wake::ShardTimeout:
+        if (live)
+            settle(route, i, ShardOutcome::Timeout, {});
+        return;
+    case Wake::Hedge:
+        // One extra replica per request, launched when the primary
+        // this timer was set for has produced nothing after
+        // hedgeDelayMs.
+        if (!r.hedged && r.active.size() == 1 && live) {
+            r.hedged = true;
+            int s = pickReplica(r.order, r.tried);
+            if (s >= 0) {
+                r.tried |= 1u << s;
+                if (dispatch(route, s, true))
+                    statHedgesIssued.fetch_add(1);
+            }
+        }
+        return;
+    case Wake::Deadline:
+        for (const Dispatch &d : r.active)
+            traceDispatch(r, d, "abandoned");
+        return finish(r, statusResponse(RequestStatus::DeadlineExceeded));
+    }
+}
+
+void
+ShardRouter::advance(const RoutePtr &route, bool backed_off)
+{
+    Route &r = *route;
+    auto reject = [&] {
+        finish(r, statusResponse(RequestStatus::Rejected,
+                                 std::max(cfg.shard.retryAfterMs,
+                                          r.coldHint)));
     };
-
-    // One span per dispatch, closed when the router resolves it
-    // (response, fault, timeout, or abandonment of a hedge loser).
-    auto traceDispatch = [&](const Dispatch &d, const char *outcome) {
-        if (!request.trace)
-            return;
-        obs::TraceSpan span;
-        span.name = "router.dispatch";
-        span.beginT = d.startT;
-        span.endT = monotonicSeconds();
-        span.trackGroup = obsGroup;
-        span.track = 0;
-        span.args = {{"shard", std::to_string(d.shard)},
-                     {"attempt", std::to_string(attempts)},
-                     {"outcome", outcome}};
-        if (d.hedge)
-            span.args.emplace_back("hedge", "1");
-        request.trace->addSpan(std::move(span));
-    };
-
-    while (true) {
+    for (;;) {
         if (stopping.load(std::memory_order_acquire))
-            return statusResponse(RequestStatus::Shutdown, submit_t, 0);
-        double now = monotonicSeconds();
-        if (expired(now) && active.empty())
-            return statusResponse(RequestStatus::DeadlineExceeded,
-                                  submit_t, 0);
+            return finish(r, statusResponse(RequestStatus::Shutdown));
+        const double now = monotonicSeconds();
+        if (r.deadlineT > 0.0 && now >= r.deadlineT)
+            return finish(r, statusResponse(RequestStatus::DeadlineExceeded));
+        if (r.attempts >= cfg.maxAttempts)
+            return reject();
+        // Attempt k >= 2 backs off exponentially, truncated to the
+        // remaining deadline.
+        if (r.attempts > 0 && cfg.retryBackoffMs > 0 && !backed_off) {
+            double backoff =
+                (cfg.retryBackoffMs << (r.attempts - 1)) / 1e3;
+            if (r.deadlineT > 0.0)
+                backoff = std::min(backoff, r.deadlineT - now);
+            return schedule(route, now + backoff, {Wake::Attempt});
+        }
+        backed_off = false;
+        int s = pickReplica(r.order, r.tried);
+        if (s < 0) {
+            // First attempt, or placement shifted under us (a crash or
+            // drain re-placed the scene): refresh the snapshot once
+            // before giving up.
+            r.order = rotatedPlacement(r.request);
+            s = pickReplica(r.order, r.tried);
+        }
+        if (s < 0) {
+            if (!master.acquire(r.request.sceneId))
+                return finish(r, statusResponse(RequestStatus::UnknownScene));
+            statNoReplica.fetch_add(1);
+            return reject();
+        }
+        r.tried |= 1u << s;
+        if (r.attempts > 0) {
+            statRetries.fetch_add(1);
+            statFailovers.fetch_add(1);
+        }
+        r.attempts++;
+        if (dispatch(route, s, false))
+            return;
+    }
+}
 
-        if (active.empty()) {
-            // (Re-)dispatch. Attempt k >= 2 backs off exponentially,
-            // truncated to the remaining deadline.
-            if (attempts >= cfg.maxAttempts)
-                return statusResponse(
-                    RequestStatus::Rejected, submit_t,
-                    std::max(cfg.shard.retryAfterMs, cold_hint));
-            if (attempts > 0 && cfg.retryBackoffMs > 0) {
-                double backoff =
-                    (cfg.retryBackoffMs << (attempts - 1)) / 1e3;
-                if (deadline_t > 0.0)
-                    backoff = std::min(backoff, deadline_t - now);
-                if (backoff > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(backoff));
-                if (expired(monotonicSeconds()))
-                    return statusResponse(
-                        RequestStatus::DeadlineExceeded, submit_t, 0);
-            }
-            int s = pickReplica(order, tried);
-            if (s < 0) {
-                // Placement may have shifted under us (a crash or
-                // drain re-placed the scene); refresh the snapshot
-                // once before giving up.
-                order = placementSnapshot(request.sceneId);
-                if (!order.empty())
-                    std::rotate(
-                        order.begin(),
-                        order.begin() +
-                            static_cast<long>(
-                                request.camera.hashKey(
-                                    route_lattice) %
-                                order.size()),
-                        order.end());
-                s = pickReplica(order, tried);
-            }
-            if (s < 0) {
-                statNoReplica.fetch_add(1);
-                return statusResponse(
-                    RequestStatus::Rejected, submit_t,
-                    std::max(cfg.shard.retryAfterMs, cold_hint));
-            }
-            tried |= 1u << s;
-            if (attempts > 0) {
-                statRetries.fetch_add(1);
-                statFailovers.fetch_add(1);
-            }
-            attempts++;
-            Dispatch d = dispatchTo(s, request);
-            if (!d.issued) {
-                traceDispatch(d, shardOutcomeName(d.fault));
-                recordOutcome(s, d.fault);
-                continue;
-            }
-            active.push_back(std::move(d));
+bool
+ShardRouter::dispatch(const RoutePtr &route, int s, bool hedge)
+{
+    Route &r = *route;
+    Dispatch d;
+    d.shard = s;
+    d.hedge = hedge;
+    d.startT = monotonicSeconds();
+
+    // Fleet fault points, checked in dispatch order. A crash takes
+    // the whole shard down (scenes re-place; queued shard requests
+    // resolve Shutdown); a fail costs only this attempt; a stall
+    // delays observability of the response without holding a thread.
+    ShardOutcome fault = ShardOutcome::Ok;
+    if (fault::shouldFire(fault::Point::ShardCrash)) {
+        killShard(s);
+        fault = ShardOutcome::Crashed;
+    } else if (fault::shouldFire(fault::Point::ShardFail)) {
+        fault = ShardOutcome::Failed;
+    } else {
+        if (fault::shouldFire(fault::Point::ShardStall))
+            d.readyAfter = d.startT +
+                fault::armedDelayMs(fault::Point::ShardStall) / 1e3;
+        // Submit under the shard mutex so a drain that has set
+        // `draining` is guaranteed to see no later admissions. An
+        // answer given inside submit() only queues on the route.
+        Shard &shard = *shards[static_cast<size_t>(s)];
+        std::lock_guard<std::mutex> lock(shard.mtx);
+        if (!shard.alive || shard.draining) {
+            fault = ShardOutcome::Failed;
+        } else {
+            r.active.push_back(d);
+            shard.service->submit(
+                r.request, [this, route, s](RenderResponse resp) {
+                    post(route, {Wake::Answer, s, std::move(resp)});
+                });
+            shard.nDispatched.fetch_add(1);
+        }
+    }
+    if (fault != ShardOutcome::Ok) {
+        traceDispatch(r, d, shardOutcomeName(fault));
+        recordOutcome(s, fault);
+        return false;
+    }
+    if (cfg.shardTimeoutMs > 0.0)
+        schedule(route, d.startT + cfg.shardTimeoutMs / 1e3,
+                 {Wake::ShardTimeout, s});
+    if (cfg.hedgeRequests && !r.hedged)
+        schedule(route, d.startT + cfg.hedgeDelayMs / 1e3,
+                 {Wake::Hedge, s});
+    return true;
+}
+
+void
+ShardRouter::settle(const RoutePtr &route, size_t i, ShardOutcome outcome,
+                    RenderResponse resp)
+{
+    Route &r = *route;
+    const Dispatch d = std::move(r.active[i]);
+    r.active.erase(r.active.begin() + static_cast<long>(i));
+    traceDispatch(r, d, shardOutcomeName(outcome));
+    recordOutcome(d.shard, outcome);
+    // A Shutdown answered while the router is stopping is the router's
+    // own doing: crashing that shard would stop() it from its own
+    // scheduler thread.
+    if (outcome == ShardOutcome::Crashed &&
+        !stopping.load(std::memory_order_acquire))
+        killShard(d.shard);
+    if (outcome == ShardOutcome::ColdStart) {
+        // The replica began (or joined) its reload when it answered;
+        // the failover goes to a warm one.
+        statColdStartFailovers.fetch_add(1);
+        r.coldHint = std::max(r.coldHint, resp.retryAfterMs);
+    }
+    if (outcome != ShardOutcome::Ok) {
+        if (r.active.empty())
+            advance(route, false);
+        return;
+    }
+    if (r.request.trace) {
+        // The losing dispatch (if any) is abandoned: its shard still
+        // renders it, and its answer only updates the shard's health.
+        for (const Dispatch &other : r.active)
+            traceDispatch(r, other, "abandoned");
+        if (d.hedge)
+            r.request.trace->note("hedge_won", "1");
+        if (r.attempts > 1)
+            r.request.trace->note("failovers",
+                                  std::to_string(r.attempts - 1));
+    }
+    if (d.hedge)
+        statHedgesWon.fetch_add(1);
+    finish(r, std::move(resp));
+}
+
+void
+ShardRouter::finish(Route &r, RenderResponse resp)
+{
+    r.done = true;
+    // Client-observed latency: the shard measured its own queue+render
+    // span, but the client also paid backoff, failover, and the hedge
+    // delay. The trace completes and the histogram records before the
+    // client can see the answer.
+    resp.totalMs = (monotonicSeconds() - r.submitT) * 1e3;
+    histRouteMs->record(resp.totalMs);
+    if (r.request.trace) {
+        r.request.trace->note("status", requestStatusName(resp.status));
+        if (r.ownsTrace)
+            obs::TraceRing::global().complete(r.request.trace,
+                                              resp.totalMs);
+    }
+    r.promise.set_value(std::move(resp));
+}
+
+void
+ShardRouter::traceDispatch(const Route &r, const Dispatch &d,
+                           const char *outcome) const
+{
+    // One span per dispatch, closed when the router resolves it
+    // (response, fault, timeout, or abandonment).
+    if (!r.request.trace)
+        return;
+    obs::TraceSpan span;
+    span.name = "router.dispatch";
+    span.beginT = d.startT;
+    span.endT = monotonicSeconds();
+    span.trackGroup = obsGroup;
+    span.track = 0;
+    span.args = {{"shard", std::to_string(d.shard)},
+                 {"attempt", std::to_string(r.attempts)},
+                 {"outcome", outcome}};
+    if (d.hedge)
+        span.args.emplace_back("hedge", "1");
+    r.request.trace->addSpan(std::move(span));
+}
+
+void
+ShardRouter::schedule(const RoutePtr &route, double at, Event ev)
+{
+    {
+        std::lock_guard<std::mutex> lock(timerMtx);
+        timers.emplace(at, std::make_pair(route, std::move(ev)));
+    }
+    timerCv.notify_one();
+}
+
+void
+ShardRouter::timerLoop()
+{
+    std::unique_lock<std::mutex> lock(timerMtx);
+    while (!stopping.load(std::memory_order_acquire)) {
+        if (timers.empty()) {
+            timerCv.wait(lock);
             continue;
         }
-
-        // Poll the active dispatches (primary + possible hedge).
-        for (size_t i = 0; i < active.size();) {
-            Dispatch &d = active[i];
-            bool ready = now >= d.readyAfter &&
-                d.fut.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-            if (ready) {
-                RenderResponse resp = d.fut.get();
-                ShardOutcome outcome = classify(resp);
-                traceDispatch(d, shardOutcomeName(outcome));
-                recordOutcome(d.shard, outcome);
-                if (outcome == ShardOutcome::Crashed)
-                    crashShard(d.shard, true);
-                if (outcome == ShardOutcome::ColdStart) {
-                    // The replica began (or joined) its reload when it
-                    // answered; the failover below goes to a warm one.
-                    statColdStartFailovers.fetch_add(1);
-                    cold_hint = std::max(cold_hint, resp.retryAfterMs);
-                }
-                if (requestTerminal(resp)) {
-                    if (request.trace) {
-                        for (size_t j = 0; j < active.size(); j++)
-                            if (j != i)
-                                traceDispatch(active[j], "abandoned");
-                        if (d.hedge)
-                            request.trace->note("hedge_won", "1");
-                        if (attempts > 1)
-                            request.trace->note(
-                                "failovers",
-                                std::to_string(attempts - 1));
-                    }
-                    if (d.hedge)
-                        statHedgesWon.fetch_add(1);
-                    // Client-observed latency: the shard measured its
-                    // own queue+render span, but the client also paid
-                    // router queueing, backoff, failover, and the
-                    // hedge delay.
-                    resp.totalMs =
-                        (monotonicSeconds() - submit_t) * 1e3;
-                    // The losing dispatch (if any) is abandoned: its
-                    // shard still renders it, the future is dropped.
-                    return resp;
-                }
-                active.erase(active.begin() +
-                             static_cast<long>(i));
-                continue;
-            }
-            if (cfg.shardTimeoutMs > 0.0 &&
-                now - d.startT >= cfg.shardTimeoutMs / 1e3) {
-                traceDispatch(d, "timeout");
-                recordOutcome(d.shard, ShardOutcome::Timeout);
-                active.erase(active.begin() +
-                             static_cast<long>(i));
-                continue;
-            }
-            i++;
+        auto first = timers.begin();
+        const double wait = first->first - monotonicSeconds();
+        if (wait > 0.0) {
+            timerCv.wait_for(lock, std::chrono::duration<double>(wait));
+            continue;
         }
-        if (active.empty())
-            continue; // Straight to the failover dispatch.
-
-        // Hedge: one extra replica per request, launched when the
-        // primary has produced nothing after hedgeDelayMs.
-        if (cfg.hedgeRequests && !hedged && active.size() == 1 &&
-            !active[0].hedge &&
-            now - active[0].startT >= cfg.hedgeDelayMs / 1e3) {
-            int s = pickReplica(order, tried);
-            if (s >= 0) {
-                tried |= 1u << s;
-                hedged = true;
-                Dispatch d = dispatchTo(s, request);
-                if (d.issued) {
-                    d.hedge = true;
-                    statHedgesIssued.fetch_add(1);
-                    active.push_back(std::move(d));
-                } else {
-                    recordOutcome(s, d.fault);
-                }
-            } else {
-                hedged = true; // No spare replica; stop asking.
-            }
-        }
-
-        std::this_thread::sleep_for(pollInterval);
+        std::pair<RoutePtr, Event> due = std::move(first->second);
+        timers.erase(first);
+        lock.unlock();
+        post(due.first, std::move(due.second));
+        lock.lock();
     }
 }
 
 // ------------------------------------------------------- lifecycle
 
 void
-ShardRouter::crashShard(int s, bool count_crash)
+ShardRouter::killShard(int s)
 {
     Shard &shard = *shards[static_cast<size_t>(s)];
     {
@@ -691,19 +705,12 @@ ShardRouter::crashShard(int s, bool count_crash)
             return;
         shard.alive = false;
     }
-    if (count_crash)
-        statCrashes.fetch_add(1);
-    // Queued requests on the dead shard resolve Shutdown; routing
-    // loops holding their futures classify that as Crashed and fail
-    // over. The in-flight chunk renders to completion first.
+    statCrashes.fetch_add(1);
+    // Queued requests on the dead shard resolve Shutdown; the router
+    // classifies each answer as Crashed and fails it over. The
+    // in-flight chunk renders to completion first.
     shard.service->stop();
     replaceScenesOf(s);
-}
-
-void
-ShardRouter::killShard(int s)
-{
-    crashShard(s, true);
 }
 
 bool
@@ -714,7 +721,7 @@ ShardRouter::drainShard(int s)
         std::lock_guard<std::mutex> lock(shard.mtx);
         if (!shard.alive || shard.draining)
             return false;
-        shard.draining = true; // dispatchTo admits nothing from here on
+        shard.draining = true; // dispatch() admits nothing from here on
     }
     statDrains.fetch_add(1);
 
@@ -770,34 +777,22 @@ std::future<RenderResponse>
 ShardRouter::submit(const RenderRequest &request)
 {
     statRouted.fetch_add(1);
-    auto job = std::make_unique<Job>();
-    job->request = request;
+    auto route = std::make_shared<Route>();
+    route->request = request;
     // The router is the first tracing-aware layer for routed requests:
-    // it begins the trace here and completes it in dispatcherLoop.
-    // Shards it dispatches to see a non-null trace and only append.
-    if (!job->request.trace) {
-        job->request.trace = obs::beginTrace(request.sceneId);
-        job->ownsTrace = job->request.trace != nullptr;
+    // it begins the trace here and completes it in finish(). Shards it
+    // dispatches to see a non-null trace and only append.
+    if (!route->request.trace) {
+        route->request.trace = obs::beginTrace(request.sceneId);
+        route->ownsTrace = route->request.trace != nullptr;
     }
-    job->submitT = monotonicSeconds();
-    std::future<RenderResponse> fut = job->promise.get_future();
-    {
-        std::lock_guard<std::mutex> lock(jobMtx);
-        if (jobStopping) {
-            RenderResponse resp;
-            resp.status = RequestStatus::Shutdown;
-            if (job->request.trace) {
-                job->request.trace->note("status", "shutdown");
-                if (job->ownsTrace)
-                    obs::TraceRing::global().complete(
-                        job->request.trace, 0.0);
-            }
-            job->promise.set_value(std::move(resp));
-            return fut;
-        }
-        jobs.push_back(std::move(job));
+    route->submitT = monotonicSeconds();
+    std::future<RenderResponse> fut = route->promise.get_future();
+    if (request.deadlineMs > 0.0) {
+        route->deadlineT = route->submitT + request.deadlineMs / 1e3;
+        schedule(route, route->deadlineT, {Wake::Deadline});
     }
-    jobCv.notify_one();
+    post(route, {Wake::Attempt});
     return fut;
 }
 
@@ -805,34 +800,6 @@ RenderResponse
 ShardRouter::render(const RenderRequest &request)
 {
     return submit(request).get();
-}
-
-void
-ShardRouter::dispatcherLoop()
-{
-    while (true) {
-        std::unique_ptr<Job> job;
-        {
-            std::unique_lock<std::mutex> lock(jobMtx);
-            jobCv.wait(lock, [this] {
-                return jobStopping || !jobs.empty();
-            });
-            if (jobs.empty())
-                return; // jobStopping and the queue is drained.
-            job = std::move(jobs.front());
-            jobs.pop_front();
-        }
-        RenderResponse resp = routeOne(job->request, job->submitT);
-        histRouteMs->record(resp.totalMs);
-        if (job->request.trace) {
-            job->request.trace->note("status",
-                                     requestStatusName(resp.status));
-            if (job->ownsTrace)
-                obs::TraceRing::global().complete(job->request.trace,
-                                                  resp.totalMs);
-        }
-        job->promise.set_value(std::move(resp));
-    }
 }
 
 // ----------------------------------------------------------- stats

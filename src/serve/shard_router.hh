@@ -24,7 +24,8 @@
  *  - **Failover / retry**: a failed attempt re-dispatches to the next
  *    live replica with exponential backoff, bounded by maxAttempts and
  *    the request deadline (deadline-aware: the router gives up with
- *    DeadlineExceeded rather than retrying into a dead deadline).
+ *    DeadlineExceeded rather than retrying into a dead deadline, and
+ *    the deadline holds while a dispatch is still outstanding).
  *  - **Hedging** (optional): when a dispatch has produced no response
  *    after hedgeDelayMs, a second replica gets the same request and
  *    the first response wins; the loser is abandoned (its work is the
@@ -33,6 +34,14 @@
  *    its scenes on live replicas (restoring R where possible), lets
  *    every queued and in-flight tile complete, then stops the shard --
  *    no queued request is failed by a drain.
+ *
+ * Routing is event-driven: no thread is parked per request. submit()
+ * picks a replica and dispatches on the caller's thread; each shard
+ * answer (a RenderService completion callback) either answers the
+ * client or fails over, on whichever thread delivered it; and one
+ * timer thread per router fires the retry backoff, the hedge delay,
+ * shardTimeoutMs, the `shard.stall` mask and the request deadline.
+ * A request's events are handled one at a time, in arrival order.
  *
  * Fleet fault points (`shard.fail`, `shard.stall`, `shard.crash`) are
  * threaded through the dispatch path, so failover, breaker
@@ -51,8 +60,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -94,14 +103,6 @@ struct ShardRouterConfig
      */
     SceneRegistryConfig registry;
 
-    /**
-     * Router dispatcher threads. Each in-flight routed request
-     * occupies one dispatcher for its whole retry/hedge state machine,
-     * so this bounds router-level concurrency (shard-level concurrency
-     * is the shards' own admission queues).
-     */
-    int routerThreads = 2;
-
     /** Dispatch attempts per request (first try + failovers). */
     int maxAttempts = 3;
 
@@ -133,7 +134,7 @@ struct ShardRouterConfig
 /**
  * The fleet front end. Owns N shards (each a SceneRegistry +
  * RenderService pair), a master registry of canonical scenes, and the
- * dispatcher threads running the routing state machine.
+ * timer thread; it starts no other thread.
  */
 class ShardRouter
 {
@@ -164,7 +165,8 @@ class ShardRouter
 
     /**
      * Route a request: returns a future resolving once a replica
-     * serves it, every attempt is exhausted, or the deadline passes.
+     * serves it, every attempt is exhausted, or the deadline passes
+     * (an outstanding dispatch is then abandoned).
      * Fleet-level failures surface as RequestStatus::Rejected with a
      * retry hint (the condition is retryable: breakers half-open,
      * crashed shards get their scenes re-placed).
@@ -186,8 +188,8 @@ class ShardRouter
     /**
      * Abrupt shard death (what the `shard.crash` fault point calls):
      * the service stops dead -- its queued requests resolve Shutdown
-     * (the router's routing loop sees those as Crashed outcomes and
-     * fails over) -- and its scenes are re-placed on live shards.
+     * (the router counts each as a Crashed outcome and fails over) --
+     * and its scenes are re-placed on live shards.
      */
     void killShard(int s);
 
@@ -207,20 +209,40 @@ class ShardRouter
 
   private:
     struct Shard;
-    struct Job;
     struct Dispatch;
+    struct Route;
+    using RoutePtr = std::shared_ptr<Route>;
 
-    void dispatcherLoop();
-    RenderResponse routeOne(const RenderRequest &request,
-                            double submit_t);
+    /** What wakes a routed request: a shard's answer or a timer. */
+    enum class Wake : uint8_t
+    {
+        Attempt, Answer, ShardTimeout, Hedge, Deadline
+    };
+    struct Event
+    {
+        Wake kind = Wake::Attempt;
+        int shard = -1;        //!< Whose dispatch it concerns, if any.
+        RenderResponse resp{}; //!< Answer events only.
+    };
+
+    void post(const RoutePtr &route, Event ev);
+    void handle(const RoutePtr &route, Event &ev);
+    void advance(const RoutePtr &route, bool backed_off);
+    bool dispatch(const RoutePtr &route, int s, bool hedge);
+    void settle(const RoutePtr &route, size_t i, ShardOutcome outcome,
+                RenderResponse resp);
+    void finish(Route &route, RenderResponse resp);
+    void traceDispatch(const Route &route, const Dispatch &d,
+                       const char *outcome) const;
+    void schedule(const RoutePtr &route, double at, Event ev);
+    void timerLoop();
+    std::vector<int> rotatedPlacement(const RenderRequest &request) const;
     int pickReplica(const std::vector<int> &order, uint32_t tried);
-    Dispatch dispatchTo(int s, const RenderRequest &request);
     void recordOutcome(int s, ShardOutcome outcome);
-    void crashShard(int s, bool count_crash);
     void replaceScenesOf(int s);
     void seedPlacement(const std::string &id);
+    void fillReplicas(const std::string &id, std::vector<int> &replicas);
     std::vector<int> rendezvousOrder(const std::string &id) const;
-    std::vector<int> placementSnapshot(const std::string &id) const;
 
     ShardRouterConfig cfg;
     SceneRegistry master; //!< Canonical scenes (source for re-placement).
@@ -229,13 +251,6 @@ class ShardRouter
 
     mutable std::mutex placementMtx;
     std::unordered_map<std::string, std::vector<int>> placements;
-
-    std::mutex jobMtx;
-    std::condition_variable jobCv;
-    std::deque<std::unique_ptr<Job>> jobs;
-    bool jobStopping = false;
-    std::atomic<bool> stopping{false};
-    std::vector<std::thread> dispatchers;
 
     std::atomic<uint64_t> statRouted{0}, statFailovers{0},
         statRetries{0}, statHedgesIssued{0}, statHedgesWon{0},
@@ -247,6 +262,14 @@ class ShardRouter
     int obsGroup = 0;
     uint64_t obsCollector = 0;
     obs::LatencyHistogram *histRouteMs = nullptr;
+
+    std::atomic<bool> stopping{false}; //!< Set under timerMtx.
+
+    /** Pending timer events by due time (monotonicSeconds). */
+    std::mutex timerMtx;
+    std::condition_variable timerCv;
+    std::multimap<double, std::pair<RoutePtr, Event>> timers;
+    std::thread timer;
 };
 
 } // namespace instant3d

@@ -421,7 +421,6 @@ TEST_F(ObsServeTest, EveryFleetRequestLeavesACompleteTrace)
     ShardRouterConfig cfg;
     cfg.numShards = 2;
     cfg.replication = 2;
-    cfg.routerThreads = 2;
     cfg.shard.workers = 2;
     cfg.shard.tilePixels = 16;
     ShardRouter router(cfg);
@@ -453,12 +452,10 @@ TEST_F(ObsServeTest, EveryFleetRequestLeavesACompleteTrace)
             EXPECT_GE(span.endT, span.beginT) << span.name;
             names.insert(span.name);
         }
-        // One span per pipeline stage: router queue + dispatch,
-        // service admission, EDF queue wait, chunk render, cache
-        // scatter.
+        // One span per pipeline stage: router dispatch, service
+        // admission, EDF queue wait, chunk render, cache scatter.
         for (const char *want :
-             {"router.queue_wait", "router.dispatch",
-              "serve.admission", "serve.queue_wait",
+             {"router.dispatch", "serve.admission", "serve.queue_wait",
               "serve.render_chunk", "serve.cache_scatter"})
             EXPECT_TRUE(names.count(want))
                 << "request " << trace->id() << " missing " << want;

@@ -525,6 +525,56 @@ TEST_F(ServeTest, BackpressureRejectsWithRetryAfter)
     EXPECT_LE(stats.queueDepthHighwater, 4u);
 }
 
+TEST_F(ServeTest, CompletionCallbackMayResubmitToTheSameService)
+{
+    // A completion callback never runs under a service lock, so it may
+    // submit straight back into the service that answered it -- here
+    // from a Rejected answer given at admission, and from the Shutdown
+    // answer of a stopped service.
+    FaultGuard guard;
+    SceneRegistry registry;
+    registry.registerFromTrainer("lego", *legoTrainer);
+    RenderServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.tilePixels = 16;
+    cfg.maxQueueTiles = 1;
+    RenderService service(registry, cfg);
+
+    fault::Spec slow;
+    slow.mode = fault::Mode::Always;
+    slow.delayMs = 300;
+    fault::arm(fault::Point::ChunkRenderDelay, slow);
+
+    RenderRequest req;
+    req.sceneId = "lego";
+    req.camera = latticeCamera();
+    req.roi = {0, 0, 16, 16};
+    auto resubmitOnAnswer = [&](std::promise<RequestStatus> &outer,
+                                std::promise<RequestStatus> &inner) {
+        service.submit(req, [&](RenderResponse resp) {
+            outer.set_value(resp.status);
+            service.submit(req, [&](RenderResponse again) {
+                inner.set_value(again.status);
+            });
+        });
+    };
+
+    auto held = service.submit(req); // Fills the one-tile window.
+    std::promise<RequestStatus> rejected, retried;
+    resubmitOnAnswer(rejected, retried);
+    EXPECT_EQ(rejected.get_future().get(), RequestStatus::Rejected);
+    RequestStatus retry = retried.get_future().get();
+    EXPECT_TRUE(retry == RequestStatus::Rejected ||
+                retry == RequestStatus::Ok);
+    EXPECT_EQ(held.get().status, RequestStatus::Ok);
+
+    service.stop();
+    std::promise<RequestStatus> refused, refusedAgain;
+    resubmitOnAnswer(refused, refusedAgain);
+    EXPECT_EQ(refused.get_future().get(), RequestStatus::Shutdown);
+    EXPECT_EQ(refusedAgain.get_future().get(), RequestStatus::Shutdown);
+}
+
 TEST_F(ServeTest, ExpiredDeadlineDropsUnrenderedTiles)
 {
     SceneRegistry registry;

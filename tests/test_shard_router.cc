@@ -12,12 +12,17 @@
  *  - The circuit breaker walks Closed -> Open -> HalfOpen -> Closed.
  *  - A hedged request has exactly one winner.
  *  - A graceful drain fails no admitted request.
+ *  - The router's timer enforces the deadline and the shard timeout
+ *    while a dispatch is outstanding, and no router thread caps how
+ *    many requests are in flight.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -112,6 +117,14 @@ expectImagesEqual(const Image &a, const Image &b)
             ASSERT_EQ(pa.z, pb.z);
         }
     }
+}
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 ShardRouterConfig
@@ -254,7 +267,6 @@ TEST_F(ShardRouterTest, KillScheduleEveryRequestCompletesViaFailover)
     Image expect = legoTrainer->renderImage(spec.makeCamera());
 
     ShardRouterConfig cfg = fleetConfig(4, 2);
-    cfg.routerThreads = 4;
     ShardRouter router(cfg);
     ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
 
@@ -343,29 +355,35 @@ TEST_F(ShardRouterTest, HedgedRequestHasExactlyOneWinner)
     ShardRouterConfig cfg = fleetConfig(2, 2);
     cfg.hedgeRequests = true;
     cfg.hedgeDelayMs = 5.0;
-    cfg.routerThreads = 1;
-    ShardRouter router(cfg);
-    ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
+    auto router = std::make_unique<ShardRouter>(cfg);
+    ASSERT_GT(router->addScene("lego", *legoTrainer), 0u);
 
-    // Stall the primary dispatch 400ms: the hedge (launched after
-    // 5ms) must win the race, and exactly one response reaches the
-    // client -- bit-identical, because the replicas share one model.
+    // Stall the primary dispatch far past any render time: the hedge
+    // (launched after 5ms) wins the race however slow the host, and
+    // exactly one response reaches the client -- bit-identical,
+    // because the replicas share one model.
     fault::Spec stall;
     stall.mode = fault::Mode::OneShot;
     stall.n = 1;
-    stall.delayMs = 400;
+    stall.delayMs = 30000;
     fault::arm(fault::Point::ShardStall, stall);
 
     RenderRequest req;
     req.sceneId = "lego";
     req.camera = spec;
-    RenderResponse resp = router.render(req);
+    RenderResponse resp = router->render(req);
     ASSERT_EQ(resp.status, RequestStatus::Ok);
     expectImagesEqual(resp.image, expect);
 
-    FleetStats fs = router.fleetStats();
+    FleetStats fs = router->fleetStats();
     EXPECT_EQ(fs.hedgesIssued, 1u);
     EXPECT_EQ(fs.hedgesWon, 1u);
+
+    // The stalled primary's answer waits on a timer, not a thread:
+    // destroying the router does not sit out the stall.
+    const auto t0 = std::chrono::steady_clock::now();
+    router.reset();
+    EXPECT_LT(msSince(t0), 10000.0);
 }
 
 TEST_F(ShardRouterTest, DrainUnderLoadFailsNoAdmittedRequest)
@@ -375,7 +393,6 @@ TEST_F(ShardRouterTest, DrainUnderLoadFailsNoAdmittedRequest)
     Image expect = legoTrainer->renderImage(spec.makeCamera());
 
     ShardRouterConfig cfg = fleetConfig(3, 2);
-    cfg.routerThreads = 4;
     ShardRouter router(cfg);
     ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
     std::vector<int> placed = router.placement("lego");
@@ -441,6 +458,119 @@ TEST_F(ShardRouterTest, DeadlineBoundsRetryLoop)
     EXPECT_LT(resp.totalMs, 200.0);
 }
 
+TEST_F(ShardRouterTest, DeadlineHoldsWhileADispatchIsOutstanding)
+{
+    FaultGuard guard;
+    ShardRouter router(fleetConfig(2, 2));
+    ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
+
+    // The only dispatch is stalled far past the deadline: the router
+    // answers DeadlineExceeded when the deadline passes, abandoning
+    // the dispatch, instead of waiting the stall out.
+    fault::Spec stall;
+    stall.mode = fault::Mode::OneShot;
+    stall.n = 1;
+    stall.delayMs = 30000;
+    fault::arm(fault::Point::ShardStall, stall);
+
+    RenderRequest req;
+    req.sceneId = "lego";
+    req.camera = latticeCamera(16, 16);
+    req.deadlineMs = 30.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    RenderResponse resp = router.render(req);
+    EXPECT_EQ(resp.status, RequestStatus::DeadlineExceeded);
+    EXPECT_GE(resp.totalMs, 30.0);
+    EXPECT_LT(msSince(t0), 10000.0);
+
+    // An abandoned dispatch is not the shard's fault.
+    FleetStats fs = router.fleetStats();
+    EXPECT_EQ(fs.failovers, 0u);
+    for (const ShardStats &ss : fs.shards) {
+        EXPECT_EQ(ss.timeouts, 0u);
+        EXPECT_EQ(ss.failed, 0u);
+    }
+}
+
+TEST_F(ShardRouterTest, ShardTimeoutFailsOverBitIdentically)
+{
+    FaultGuard guard;
+    CameraSpec spec = latticeCamera(16, 16);
+    Image expect = legoTrainer->renderImage(spec.makeCamera());
+    RenderRequest req;
+    req.sceneId = "lego";
+    req.camera = spec;
+
+    // Time the request on an idle fleet first, so the timeout sits far
+    // above this host's render time: only the stalled attempt can
+    // reach it, however slow the host (sanitizers included).
+    double render_ms = 0.0;
+    {
+        ShardRouter probe(fleetConfig(2, 2));
+        ASSERT_GT(probe.addScene("lego", *legoTrainer), 0u);
+        for (int i = 0; i < 2; i++) {
+            const auto t0 = std::chrono::steady_clock::now();
+            ASSERT_EQ(probe.render(req).status, RequestStatus::Ok);
+            render_ms = msSince(t0);
+        }
+    }
+    ShardRouterConfig cfg = fleetConfig(2, 2);
+    cfg.shardTimeoutMs = std::max(250.0, 20.0 * render_ms);
+    ShardRouter router(cfg);
+    ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
+    std::vector<int> order = router.placement("lego");
+    ASSERT_EQ(order.size(), 2u);
+    const int primary = order[spec.hashKey() % order.size()];
+
+    // The primary's answer is masked far past shardTimeoutMs: the
+    // attempt times out and the request fails over to the other
+    // replica, which serves the same bits.
+    fault::Spec stall;
+    stall.mode = fault::Mode::OneShot;
+    stall.n = 1;
+    stall.delayMs = 30000;
+    fault::arm(fault::Point::ShardStall, stall);
+
+    RenderResponse resp = router.render(req);
+    ASSERT_EQ(resp.status, RequestStatus::Ok);
+    expectImagesEqual(resp.image, expect);
+    EXPECT_GE(resp.totalMs, cfg.shardTimeoutMs);
+
+    FleetStats fs = router.fleetStats();
+    EXPECT_EQ(fs.shards[static_cast<size_t>(primary)].timeouts, 1u);
+    EXPECT_EQ(fs.shards[static_cast<size_t>(1 - primary)].timeouts, 0u);
+    EXPECT_EQ(fs.failovers, 1u);
+}
+
+TEST_F(ShardRouterTest, SubmitDispatchesWithoutARouterConcurrencyCap)
+{
+    FaultGuard guard;
+    ShardRouter router(fleetConfig(2, 2));
+    ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
+
+    // Renders are slow, so nothing completes for a while. submit()
+    // dispatches on the caller's thread, so every request has been
+    // admitted by a shard by the time its submit() returns.
+    fault::Spec slow;
+    slow.mode = fault::Mode::Always;
+    slow.delayMs = 50;
+    fault::arm(fault::Point::ChunkRenderDelay, slow);
+
+    RenderRequest req;
+    req.sceneId = "lego";
+    req.camera = latticeCamera(16, 16);
+    std::vector<std::future<RenderResponse>> futs;
+    for (int i = 0; i < 16; i++)
+        futs.push_back(router.submit(req));
+    uint64_t accepted = 0;
+    for (int s = 0; s < router.numShards(); s++)
+        accepted += router.shardService(s).stats().requestsAccepted;
+    EXPECT_EQ(accepted, 16u);
+
+    for (auto &fut : futs)
+        EXPECT_EQ(fut.get().status, RequestStatus::Ok);
+}
+
 TEST_F(ShardRouterTest, UnknownSceneAndAllReplicasDead)
 {
     FaultGuard guard;
@@ -467,7 +597,6 @@ TEST_F(ShardRouterTest, DestructionResolvesOutstandingFutures)
     std::vector<std::future<RenderResponse>> futs;
     {
         ShardRouterConfig cfg = fleetConfig(2, 2);
-        cfg.routerThreads = 1;
         ShardRouter router(cfg);
         ASSERT_GT(router.addScene("lego", *legoTrainer), 0u);
 
