@@ -238,8 +238,8 @@ BENCHMARK(BM_MarchRays)->Arg(100)->Arg(25)->Arg(5);
 
 /**
  * The full compacted forward stage (march + one queryStream + per-ray
- * compositing) for a 16-ray chunk, vs per-ray renderRayBatch calls on
- * the same rays -- the end-to-end cost the compacted trainer pays.
+ * compositing) for a 16-ray chunk -- the end-to-end forward cost the
+ * trainer pays per chunk.
  */
 void
 BM_RenderStream(benchmark::State &state)
@@ -282,39 +282,6 @@ BM_RenderStream(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(samples));
 }
 BENCHMARK(BM_RenderStream)->Arg(100)->Arg(25)->Arg(5);
-
-/**
- * The BUM-style gradient-write merge kernel: push one chunk's worth of
- * scatters whose addresses collide within a table of `range` entries
- * (the benchmark argument), then sort-merge-apply. Compare against
- * BM_HashEncodeBackward for the direct-scatter cost.
- */
-void
-BM_HashGradMerge(benchmark::State &state)
-{
-    constexpr uint32_t span = 2;
-    const uint32_t range = static_cast<uint32_t>(state.range(0));
-    Rng r(15);
-    const int writes = 16 * 48 * 8; // one chunk: rays x samples x corners
-    std::vector<uint32_t> addrs;
-    for (int i = 0; i < writes; i++)
-        addrs.push_back(r.nextU32(range) * span);
-    const float d_out[span] = {0.5f, -0.25f};
-
-    std::vector<float> grad(static_cast<size_t>(range) * span, 0.0f);
-    std::vector<uint32_t> touched;
-    HashGradMerger merger;
-    for (auto _ : state) {
-        merger.reset(span);
-        for (uint32_t a : addrs)
-            merger.push(a, 1.0f, d_out);
-        touched.clear();
-        merger.flushInto(grad.data(), &touched);
-        benchmark::DoNotOptimize(grad.data());
-    }
-    state.SetItemsProcessed(state.iterations() * writes);
-}
-BENCHMARK(BM_HashGradMerge)->Arg(64)->Arg(1024)->Arg(65536);
 
 /**
  * The sparse lazy Adam step on a grid-sized group: `range` touched

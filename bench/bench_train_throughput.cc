@@ -5,13 +5,12 @@
  *
  * Two mode families are timed:
  *  - No occupancy grid: the original scalar reference path vs the
- *    batched arena path at 1, 2, 4, and 8 threads (the PR 1 numbers).
- *  - With a converged occupancy grid: the dense per-ray batched path
- *    ("dense_occ") vs the chunk-level compacted sample stream
- *    ("compacted") vs compaction plus merged hash-gradient writes
- *    ("compacted+merged") vs compaction with the full-table-scan dense
- *    optimizer ("compacted+dense_opt", the sparse-optimizer regression
- *    baseline), at 1 and 8 threads. Every mode row carries a
+ *    batched sample-stream path at 1, 2, 4, and 8 threads.
+ *  - With a converged occupancy grid: the chunk-level compacted sample
+ *    stream ("compacted") vs the same stream with the full-table-scan
+ *    dense optimizer ("compacted+dense_opt", the sparse-optimizer
+ *    regression baseline) vs the stream on the simd kernel backend
+ *    ("compacted+simd"), at 1 and 8 threads. Every mode row carries a
  *    per-phase breakdown (march / forward / backward / reduce /
  *    optimizer / zero_grad / occ_refresh) so "which phase dominates"
  *    is tracked across PRs.
@@ -55,7 +54,6 @@ struct ModeResult
     double pointsPerSec = 0.0;
     double pointsPerSecEffective = 0.0;
     double occupiedFraction = 1.0;
-    double gradMergeRatio = 1.0; //!< Grid-grad writes per table update.
     double sparseEntriesPerIter = 0.0; //!< Touched entries per step.
     double sparseActiveEntries = 0.0;  //!< Steady sweep-set size.
     TrainPhaseTimes phases;      //!< Summed over the timed iterations.
@@ -136,15 +134,11 @@ struct ModeSpec
     std::string name;
     int threads = 1;
     bool scalar = false;
-    bool compact = false;
-    bool merge = false;
     bool sparseOpt = true; //!< The new default; false = dense Adam.
     /**
      * Kernel backend of the run. The historical rows pin scalar_ref
-     * so their numbers stay comparable across hosts and PRs (under
-     * "auto" a multicore host would silently switch them to
-     * threaded_sweep); the explicit +simd / +threaded rows measure
-     * the backends.
+     * so their numbers stay comparable across PRs (the default is
+     * simd); the explicit +simd row measures the fast backend.
      */
     std::string backend = "scalar_ref";
 };
@@ -155,8 +149,6 @@ modeConfig(const Workload &w, const ModeSpec &spec, bool use_occupancy)
     TrainConfig tcfg = w.train;
     tcfg.numThreads = spec.threads;
     tcfg.scalarReference = spec.scalar;
-    tcfg.compactSamples = spec.compact;
-    tcfg.mergeHashGrads = spec.merge;
     tcfg.sparseOptimizer = spec.sparseOpt;
     tcfg.kernelBackend = spec.backend;
     tcfg.collectPhaseTimes = true;
@@ -228,8 +220,8 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
 }
 
 /**
- * The occupancy-grid family (dense vs compacted vs compacted+merged)
- * at one thread count. All modes run concurrently constructed trainers
+ * The occupancy-grid family (compacted vs +dense_opt vs +simd) at one
+ * thread count. All modes run concurrently constructed trainers
  * and are timed in interleaved blocks, so machine drift hits every
  * mode equally; occupancy-refresh iterations (identical work in every
  * mode) are timed separately from hot-path iterations so the refresh
@@ -265,8 +257,6 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
             t->trainIteration();
 
     std::vector<uint64_t> points(specs.size(), 0);
-    std::vector<uint64_t> writes(specs.size(), 0);
-    std::vector<uint64_t> merged_writes(specs.size(), 0);
     std::vector<uint64_t> sparse_stepped(specs.size(), 0);
     const int period = modeConfig(w, specs[0], true).occupancyUpdatePeriod;
 
@@ -292,8 +282,6 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
                     addPhases(results[m].phases, st.phases);
                     sparse_stepped[m] += st.sparseEntriesStepped;
                 }
-                writes[m] += st.gridGradWrites;
-                merged_writes[m] += st.gridGradWritesMerged;
             }
         }
     }
@@ -307,11 +295,6 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
         r.pointsPerSecEffective = r.raysPerSec * tcfg.samplesPerRay;
         r.occupiedFraction =
             trainers[m]->occupancyGrid()->occupiedFraction();
-        r.gradMergeRatio =
-            merged_writes[m] > 0
-                ? static_cast<double>(writes[m]) /
-                      static_cast<double>(merged_writes[m])
-                : 1.0;
         r.sparseEntriesPerIter =
             static_cast<double>(sparse_stepped[m]) /
             std::max(1, r.iterations);
@@ -362,44 +345,8 @@ mlpPanelSeconds(const KernelBackend &kb)
     return best;
 }
 
-/** Seconds for a block of sparse-Adam sweeps through `kb` on a
- *  grid-sized group (2^15 entries, 2048 touched per step). */
-double
-sparseSweepSeconds(const KernelBackend *kb)
-{
-    constexpr uint32_t span = 2;
-    constexpr size_t entries = 1 << 15;
-    constexpr size_t n = entries * span;
-    AdamConfig acfg;
-    Adam adam(n, acfg);
-    adam.setKernelBackend(kb);
-    adam.enableSparse(span);
-
-    Rng r(9);
-    std::vector<uint32_t> touched;
-    std::vector<uint8_t> seen(entries, 0);
-    while (touched.size() < 2048) {
-        uint32_t e = r.nextU32(entries);
-        if (!seen[e]) {
-            seen[e] = 1;
-            touched.push_back(e * span);
-        }
-    }
-    std::vector<float> params(n, 0.1f);
-    std::vector<float> grads(n, 0.0f);
-    for (uint32_t off : touched)
-        for (uint32_t f = 0; f < span; f++)
-            grads[off + f] = r.nextFloat(-1.0f, 1.0f);
-
-    for (int s = 0; s < 3; s++) // reach the steady active set
-        adam.stepSparse(params, grads, touched);
-    const int steps = 40;
-    double t0 = now();
-    for (int s = 0; s < steps; s++)
-        adam.stepSparse(params, grads, touched);
-    return now() - t0;
-}
-
+/** The row of `mode` at `threads`; a missing row is fatal, so a ratio
+ *  is never computed against some other row. */
 const ModeResult &
 find(const std::vector<ModeResult> &results, const std::string &mode,
      int threads)
@@ -407,7 +354,10 @@ find(const std::vector<ModeResult> &results, const std::string &mode,
     for (const auto &r : results)
         if (r.mode == mode && r.threads == threads)
             return r;
-    return results.front();
+    std::fprintf(stderr, "bench_train_throughput: no '%s' row at %d "
+                         "threads\n",
+                 mode.c_str(), threads);
+    std::exit(1);
 }
 
 } // namespace
@@ -450,12 +400,10 @@ main(int argc, char **argv)
     }
 
     std::vector<ModeResult> results;
-    results.push_back(
-        runMode(w, {"scalar_seed", 1, true, false, false, false}, iters));
+    results.push_back(runMode(w, {"scalar_seed", 1, true, false}, iters));
     for (int threads : {1, 2, 4, 8})
         results.push_back(
-            runMode(w, {"batched", threads, false, false, false, true},
-                    iters));
+            runMode(w, {"batched", threads, false, true}, iters));
     // Converged-grid iterations are ~10x cheaper than dense ones, so
     // run more of them for a stable mode comparison. All modes except
     // "+dense_opt" step the grids with the sparse lazy optimizer (the
@@ -466,66 +414,36 @@ main(int argc, char **argv)
     Workload occ_w = occupancyWorkload();
     for (int threads : {1, 8}) {
         std::vector<ModeSpec> occ_specs = {
-            {"dense_occ", threads, false, false, false, true},
-            {"compacted", threads, false, true, false, true},
-            {"compacted+merged", threads, false, true, true, true},
-            {"compacted+dense_opt", threads, false, true, false, false},
-            // Per-backend end-to-end rows: same compacted pipeline,
-            // different kernel backend.
-            {"compacted+simd", threads, false, true, false, true,
-             "simd"},
-            {"compacted+threaded", threads, false, true, false, true,
-             "threaded_sweep"},
+            {"compacted", threads, false, true},
+            {"compacted+dense_opt", threads, false, false},
+            // Same compacted pipeline on the fast kernel backend.
+            {"compacted+simd", threads, false, true, "simd"},
         };
         for (auto &r : runOccupancyFamily(occ_w, occ_specs, occ_iters))
             results.push_back(r);
     }
 
-    // Kernel-level probes: the CI gate for the simd backend and the
-    // recorded (not gated -- a 1-core host cannot fan out) threaded-
-    // sweep ratio.
+    // Kernel-level probe: the CI gate for the simd backend.
     auto scalar_kb = makeScalarRefBackend();
     auto simd_kb = makeSimdBackend();
     double panel_scalar_s = mlpPanelSeconds(*scalar_kb);
     double panel_simd_s = mlpPanelSeconds(*simd_kb);
     double simd_vs_scalar_kernels = panel_scalar_s / panel_simd_s;
 
-    ThreadPool sweep_pool(0); // auto: hardware concurrency
-    auto threaded_kb = makeThreadedSweepBackend(&sweep_pool);
-    double sweep_serial_s = sparseSweepSeconds(nullptr);
-    double sweep_threaded_s = sparseSweepSeconds(threaded_kb.get());
-    double threaded_sweep_vs_serial = sweep_serial_s / sweep_threaded_s;
-
-    // The backend an untouched default config resolves to on this
-    // host (auto: threaded_sweep iff the pool has >1 worker).
+    // The backend an untouched default config resolves to.
     std::string default_backend =
-        createKernelBackend("auto", &sweep_pool)->name();
+        createKernelBackend(TrainConfig{}.kernelBackend)->name();
 
     const ModeResult &scalar = results.front();
     double speedup_1t =
         find(results, "batched", 1).raysPerSec / scalar.raysPerSec;
     double speedup_8t =
         find(results, "batched", 8).raysPerSec / scalar.raysPerSec;
-    double compact_vs_dense_1t =
-        find(results, "compacted", 1).raysPerSec /
-        find(results, "dense_occ", 1).raysPerSec;
-    double compact_vs_dense_8t =
-        find(results, "compacted", 8).raysPerSec /
-        find(results, "dense_occ", 8).raysPerSec;
-    double merged_vs_dense_1t =
-        find(results, "compacted+merged", 1).raysPerSec /
-        find(results, "dense_occ", 1).raysPerSec;
     double sparse_vs_dense_opt =
         find(results, "compacted", 1).raysPerSec /
         find(results, "compacted+dense_opt", 1).raysPerSec;
-    double merged_vs_compacted_1t =
-        find(results, "compacted+merged", 1).raysPerSec /
-        find(results, "compacted", 1).raysPerSec;
     double simd_e2e_1t = find(results, "compacted+simd", 1).raysPerSec /
                          find(results, "compacted", 1).raysPerSec;
-    double threaded_e2e_1t =
-        find(results, "compacted+threaded", 1).raysPerSec /
-        find(results, "compacted", 1).raysPerSec;
 
     std::string json;
     char buf[1024];
@@ -539,9 +457,7 @@ main(int argc, char **argv)
         "    \"cpu_features\": \"%s\",\n"
         "    \"simd_compiled\": \"%s\",\n"
         "    \"mlp_panel_seconds\": {\"scalar_ref\": %.6f, "
-        "\"simd\": %.6f},\n"
-        "    \"sparse_sweep_seconds\": {\"scalar_ref\": %.6f, "
-        "\"threaded_sweep\": %.6f}\n"
+        "\"simd\": %.6f}\n"
         "  },\n"
         "  \"workload\": {\"scene\": \"lego\", \"rays_per_batch\": %d, "
         "\"samples_per_ray\": %d, \"grid_levels\": %d, "
@@ -550,7 +466,7 @@ main(int argc, char **argv)
         "  \"results\": [\n",
         std::thread::hardware_concurrency(), default_backend.c_str(),
         cpuFeatureString().c_str(), compiledSimdString().c_str(),
-        panel_scalar_s, panel_simd_s, sweep_serial_s, sweep_threaded_s,
+        panel_scalar_s, panel_simd_s,
         w.train.raysPerBatch, w.train.samplesPerRay,
         w.field.densityGrid.numLevels,
         w.field.densityGrid.log2TableSize, w.field.hiddenDim,
@@ -567,7 +483,6 @@ main(int argc, char **argv)
             "\"rays_per_s\": %.1f, \"points_per_s\": %.1f, "
             "\"points_per_s_effective\": %.1f, "
             "\"occupied_fraction\": %.4f, "
-            "\"grad_merge_ratio\": %.3f, "
             "\"sparse_entries_per_iter\": %.1f, "
             "\"sparse_active_entries\": %.0f,\n"
             "     \"phases\": {\"march\": %.4f, \"forward\": %.4f, "
@@ -578,7 +493,7 @@ main(int argc, char **argv)
             r.iterations, r.seconds,
             r.updateSeconds, r.raysPerSec, r.pointsPerSec,
             r.pointsPerSecEffective, r.occupiedFraction,
-            r.gradMergeRatio, r.sparseEntriesPerIter,
+            r.sparseEntriesPerIter,
             r.sparseActiveEntries, r.phases.march,
             r.phases.forward, r.phases.backward, r.phases.reduce,
             r.phases.optimizer, r.phases.zeroGrad, r.phases.occRefresh,
@@ -590,25 +505,16 @@ main(int argc, char **argv)
                   "  \"speedups\": {\n"
                   "    \"batched_1t_vs_scalar\": %.3f,\n"
                   "    \"batched_8t_vs_scalar\": %.3f,\n"
-                  "    \"compacted_vs_dense_occ_1t\": %.3f,\n"
-                  "    \"compacted_vs_dense_occ_8t\": %.3f,\n"
-                  "    \"merged_vs_dense_occ_1t\": %.3f,\n"
-                  "    \"merged_vs_compacted_1t\": %.3f,\n"
                   "    \"sparse_vs_dense_optimizer\": %.3f,\n"
                   "    \"simd_vs_scalar_kernels\": %.3f,\n"
-                  "    \"threaded_sweep_vs_serial\": %.3f,\n"
-                  "    \"simd_backend_e2e_1t\": %.3f,\n"
-                  "    \"threaded_backend_e2e_1t\": %.3f\n"
+                  "    \"simd_backend_e2e_1t\": %.3f\n"
                   "  },\n"
                   "  \"speedup_batched_1t_vs_scalar\": %.3f,\n"
                   "  \"speedup_batched_8t_vs_scalar\": %.3f\n"
                   "}\n",
-                  speedup_1t, speedup_8t, compact_vs_dense_1t,
-                  compact_vs_dense_8t, merged_vs_dense_1t,
-                  merged_vs_compacted_1t, sparse_vs_dense_opt,
-                  simd_vs_scalar_kernels, threaded_sweep_vs_serial,
-                  simd_e2e_1t, threaded_e2e_1t,
-                  speedup_1t, speedup_8t);
+                  speedup_1t, speedup_8t, sparse_vs_dense_opt,
+                  simd_vs_scalar_kernels, simd_e2e_1t, speedup_1t,
+                  speedup_8t);
     json += buf;
 
     std::fputs(json.c_str(), stdout);

@@ -37,8 +37,7 @@ awk -v s="$sparse" 'BEGIN {
 
 # Regression gate: the simd kernel backend must not lose to the scalar
 # reference on the MLP-panel probe (measured ~2.5x on the SSE2
-# baseline build; 1.0 is the hard floor). threaded_sweep_vs_serial is
-# recorded but not gated -- a 1-core runner has nothing to fan out to.
+# baseline build; 1.0 is the hard floor).
 simd=$(grep -o '"simd_vs_scalar_kernels": [0-9.]*' \
            BENCH_train_throughput.json | awk '{print $2}')
 awk -v s="$simd" 'BEGIN {
@@ -48,7 +47,6 @@ awk -v s="$simd" 'BEGIN {
     }
     print "bench_smoke: simd_vs_scalar_kernels=" s " (>= 1.0 ok)"
 }'
-grep -o '"threaded_sweep_vs_serial": [0-9.]*' BENCH_train_throughput.json
 # Anchored to the block's own 2-space close so the nested one-line
 # objects inside don't end the range early.
 sed -n '/"kernel_backends"/,/^  },/p' BENCH_train_throughput.json

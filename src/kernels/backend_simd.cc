@@ -137,12 +137,11 @@ class SimdBackend final : public KernelBackend
     }
 
     void
-    adamDenseRange(float *params, const float *grads, float *m, float *v,
-                   size_t begin, size_t end,
-                   const AdamKernelParams &kp) const override
+    adamDenseStep(float *params, const float *grads, float *m, float *v,
+                  size_t n, const AdamKernelParams &kp) const override
     {
 #pragma omp simd
-        for (size_t i = begin; i < end; i++) {
+        for (size_t i = 0; i < n; i++) {
             float g = grads[i] + kp.l2Reg * params[i];
             m[i] = kp.beta1 * m[i] + (1.0f - kp.beta1) * g;
             v[i] = kp.beta2 * v[i] + (1.0f - kp.beta2) * g * g;
@@ -164,6 +163,13 @@ class SimdBackend final : public KernelBackend
 };
 
 } // namespace
+
+const KernelBackend &
+simdBackend()
+{
+    static const SimdBackend backend;
+    return backend;
+}
 
 std::unique_ptr<KernelBackend>
 makeSimdBackend()

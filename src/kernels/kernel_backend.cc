@@ -14,7 +14,6 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "nerf/renderer.hh"
 
 namespace instant3d {
@@ -124,11 +123,11 @@ KernelBackend::hashScatterSample(const uint32_t *addrs,
 }
 
 void
-KernelBackend::adamDenseRange(float *params, const float *grads, float *m,
-                              float *v, size_t begin, size_t end,
-                              const AdamKernelParams &kp) const
+KernelBackend::adamDenseStep(float *params, const float *grads, float *m,
+                             float *v, size_t n,
+                             const AdamKernelParams &kp) const
 {
-    for (size_t i = begin; i < end; i++) {
+    for (size_t i = 0; i < n; i++) {
         float g = grads[i] + kp.l2Reg * params[i];
         m[i] = kp.beta1 * m[i] + (1.0f - kp.beta1) * g;
         v[i] = kp.beta2 * v[i] + (1.0f - kp.beta2) * g * g;
@@ -136,24 +135,6 @@ KernelBackend::adamDenseRange(float *params, const float *grads, float *m,
         float vhat = v[i] / kp.bc2;
         params[i] -= kp.lr * mhat / (std::sqrt(vhat) + kp.epsilon);
     }
-}
-
-void
-KernelBackend::adamDenseStep(float *params, const float *grads, float *m,
-                             float *v, size_t n,
-                             const AdamKernelParams &kp) const
-{
-    adamDenseRange(params, grads, m, v, 0, n, kp);
-}
-
-void
-KernelBackend::sweepRanges(size_t total, size_t grain,
-                           const std::function<void(size_t, size_t)> &fn)
-    const
-{
-    (void)grain;
-    if (total > 0)
-        fn(0, total);
 }
 
 void
@@ -245,13 +226,6 @@ class ScalarRefBackend final : public KernelBackend
 
 } // namespace
 
-const KernelBackend &
-scalarRefBackend()
-{
-    static const ScalarRefBackend backend;
-    return backend;
-}
-
 std::unique_ptr<KernelBackend>
 makeScalarRefBackend()
 {
@@ -259,26 +233,17 @@ makeScalarRefBackend()
 }
 
 std::unique_ptr<KernelBackend>
-createKernelBackend(std::string name, ThreadPool *pool)
+createKernelBackend(std::string name)
 {
     if (const char *env = std::getenv("INSTANT3D_KERNEL_BACKEND");
         env && *env)
         name = env;
-    if (name.empty() || name == "auto") {
-        // Both sides of this choice are bit-identical to the
-        // historical hot path; threaded_sweep only pays off (and is
-        // only selected) when the pool actually has workers to use.
-        name = (pool && pool->threadCount() > 1) ? "threaded_sweep"
-                                                 : "scalar_ref";
-    }
-    if (name == "scalar_ref")
-        return makeScalarRefBackend();
     if (name == "simd")
         return makeSimdBackend();
-    if (name == "threaded_sweep")
-        return makeThreadedSweepBackend(pool);
+    if (name == "scalar_ref")
+        return makeScalarRefBackend();
     fatal("unknown kernel backend '" + name +
-          "' (expected auto, scalar_ref, simd, or threaded_sweep)");
+          "' (expected simd or scalar_ref)");
 }
 
 } // namespace instant3d

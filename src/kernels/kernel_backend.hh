@@ -4,20 +4,22 @@
  *
  * Every batched hot-path kernel -- the GEMM-style MLP forward/backward
  * panels, the hash-grid interpolation gather and gradient scatter, the
- * dense/sparse Adam sweeps, the shard reduction, and the volume-render
- * stream composite -- dispatches through one KernelBackend instance, so
- * adding a vectorized or parallel variant is a single-file backend
- * instead of a fork of every call site. Three backends ship:
+ * dense Adam step, the shard reduction, and the volume-render stream
+ * composite -- dispatches through one KernelBackend instance, so
+ * adding a vectorized variant is a single-file backend instead of a
+ * fork of every call site. Two backends ship:
  *
  *  - scalar_ref ("scalar_ref"): the pre-refactor reference loops,
  *    verbatim. Bit-identical to the historical hot path by
  *    construction; the determinism contract (README "Hot-path
- *    architecture") is stated against this backend.
+ *    architecture") is stated against this backend. It runs only where
+ *    something installs it by name: the scalarReference trainer, tests
+ *    and bench rows.
  *
- *  - simd ("simd"): the same kernels restructured so that every
- *    floating-point accumulation chain keeps the scalar order while
- *    the loops vectorize across *independent* lanes (outputs of a
- *    panel, parameters of an Adam step) -- e.g. the forward panel
+ *  - simd ("simd"), the default: the same kernels restructured so that
+ *    every floating-point accumulation chain keeps the scalar order
+ *    while the loops vectorize across *independent* lanes (outputs of
+ *    a panel, parameters of an Adam step) -- e.g. the forward panel
  *    transposes the weight matrix once and runs saxpy-style
  *    input-outer / output-inner loops. Compiled with autovectorization
  *    forced on (see CMakeLists), it uses whatever ISA the build
@@ -31,19 +33,12 @@
  *    tests/test_kernel_backends.cc, which asserts 0 ULP in non-FMA
  *    builds and the documented tolerance otherwise).
  *
- *  - threaded_sweep ("threaded_sweep"): scalar kernels plus the
- *    optimizer sweeps (the sparse-Adam bitmap sweep and the dense Adam
- *    scan) layered over the trainer's ThreadPool in fixed-size ranges.
- *    Per-entry Adam is independent -- no cross-entry reduction exists
- *    -- so any range partition yields bit-identical results to the
- *    serial sweep by construction.
- *
- * Selection: TrainConfig::kernelBackend names the backend; the
- * INSTANT3D_KERNEL_BACKEND environment variable overrides it. "auto"
- * resolves to threaded_sweep when the trainer's pool has more than one
- * worker and scalar_ref otherwise (both sides of that choice are
- * bit-identical to the historical path). The resolved name is recorded
- * in BENCH_train_throughput.json.
+ * Selection: TrainConfig::kernelBackend names the backend ("simd" or
+ * "scalar_ref"); the INSTANT3D_KERNEL_BACKEND environment variable
+ * overrides it. A class with no backend installed (a null pointer)
+ * runs simd, so serving, occupancy refresh and standalone fields run
+ * the same kernels as training. The resolved name is recorded in
+ * BENCH_train_throughput.json.
  */
 
 #ifndef INSTANT3D_KERNELS_KERNEL_BACKEND_HH
@@ -51,7 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,7 +55,6 @@
 
 namespace instant3d {
 
-class ThreadPool;
 struct RaySpan;
 struct FieldSample;
 struct RayResult;
@@ -150,34 +143,14 @@ class KernelBackend
                                    float *grad,
                                    std::vector<uint32_t> *touched) const;
 
-    // ------------------------------------------- optimizer sweeps
+    // ------------------------------------------------ optimizer
     /**
-     * Dense Adam update of the parameter range [begin, end): the
-     * per-parameter moment update and bias-corrected step, in
-     * ascending order within the range.
+     * One dense Adam step over n parameters: the per-parameter moment
+     * update and bias-corrected step, in ascending order.
      */
-    virtual void adamDenseRange(float *params, const float *grads,
-                                float *m, float *v, size_t begin,
-                                size_t end,
-                                const AdamKernelParams &kp) const;
-
-    /** One full dense Adam step over n parameters. */
     virtual void adamDenseStep(float *params, const float *grads,
                                float *m, float *v, size_t n,
                                const AdamKernelParams &kp) const;
-
-    /**
-     * Execute fn over a partition of [0, total) into contiguous
-     * ranges of at most `grain` items. Ranges may run concurrently
-     * (threaded_sweep) or as one serial call; callers must only use
-     * this for sweeps whose per-item work is independent (range-local
-     * plus order-independent shared accumulation), so every partition
-     * is bit-identical. The sparse-Adam bitmap sweep and the dense
-     * Adam scan are the intended users.
-     */
-    virtual void sweepRanges(
-        size_t total, size_t grain,
-        const std::function<void(size_t, size_t)> &fn) const;
 
     // ------------------------------------------- shard reduction
     /** dst[i] += src[i]; src[i] = 0 -- the dense gradient-shard
@@ -217,33 +190,29 @@ class KernelBackend
 };
 
 /**
- * The process-wide scalar reference backend: what every kernel class
- * uses until a trainer (or test) installs a specific backend.
+ * The process-wide simd backend: what every kernel class runs until a
+ * trainer (or test) installs a specific backend.
  */
-const KernelBackend &scalarRefBackend();
+const KernelBackend &simdBackend();
 
 /** The null-fallback rule shared by every dispatching class: a null
- *  backend pointer means the scalar reference. */
+ *  backend pointer means simd. */
 inline const KernelBackend &
 resolveBackend(const KernelBackend *backend)
 {
-    return backend ? *backend : scalarRefBackend();
+    return backend ? *backend : simdBackend();
 }
 
 /** Construct one backend directly (tests, micro-benches). */
 std::unique_ptr<KernelBackend> makeScalarRefBackend();
 std::unique_ptr<KernelBackend> makeSimdBackend();
-/** pool may be null: sweeps then run serially. */
-std::unique_ptr<KernelBackend> makeThreadedSweepBackend(ThreadPool *pool);
 
 /**
- * Resolve a backend by configured name. The INSTANT3D_KERNEL_BACKEND
- * environment variable overrides `name`; "" and "auto" resolve to
- * threaded_sweep when `pool` has more than one worker, scalar_ref
- * otherwise. Fatal on unknown names.
+ * Resolve a backend by configured name, "simd" or "scalar_ref". The
+ * INSTANT3D_KERNEL_BACKEND environment variable overrides `name`.
+ * Fatal on any other name.
  */
-std::unique_ptr<KernelBackend> createKernelBackend(std::string name,
-                                                   ThreadPool *pool);
+std::unique_ptr<KernelBackend> createKernelBackend(std::string name);
 
 } // namespace instant3d
 

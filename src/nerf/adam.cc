@@ -1,6 +1,5 @@
 #include "nerf/adam.hh"
 
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <cmath>
@@ -9,15 +8,6 @@
 #include "kernels/kernel_backend.hh"
 
 namespace instant3d {
-
-namespace {
-
-/** Words per range of the sparse bitmap sweep (64 entries per word):
- *  4096 entries per range keeps ranges big enough to amortize the
- *  pool dispatch while still fanning a 2^15-entry table out to 8. */
-constexpr size_t kSparseSweepGrainWords = 64;
-
-} // namespace
 
 Adam::Adam(size_t num_params, const AdamConfig &config)
     : cfg(config)
@@ -180,19 +170,8 @@ Adam::stepSparse(std::vector<float> &params,
     // through memory the same way the dense loop does -- just over the
     // active fraction of the table instead of all of it. Parameters
     // are exactly on the dense trajectory when this returns.
-    //
-    // The word range is partitioned by the kernel backend
-    // (threaded_sweep fans ranges out over the thread pool): every
-    // write inside the sweep -- params/moments/stamps and the two
-    // bitmap words -- is local to one word's entries, and the only
-    // shared accumulation is the integer retirement count, so any
-    // partition is bit-identical to the serial sweep.
-    std::atomic<size_t> retired{0};
-    resolveBackend(kernelBackend)
-        .sweepRanges(activeBits.size(), kSparseSweepGrainWords,
-                     [&](size_t w_begin, size_t w_end) {
-    size_t range_retired = 0;
-    for (size_t w = w_begin; w < w_end; w++) {
+    size_t retired = 0;
+    for (size_t w = 0; w < activeBits.size(); w++) {
         uint64_t word = activeBits[w];
         if (!word)
             continue;
@@ -233,14 +212,12 @@ Adam::stepSparse(std::vector<float> &params,
             lastStep[entry] = t;
             if (retire) {
                 keep &= ~(1ull << b);
-                range_retired++;
+                retired++;
             }
         } while (word);
         activeBits[w] = keep;
     }
-    retired.fetch_add(range_retired, std::memory_order_relaxed);
-                     });
-    activeCount -= retired.load(std::memory_order_relaxed);
+    activeCount -= retired;
 }
 
 void

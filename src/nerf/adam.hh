@@ -127,13 +127,10 @@ class Adam
     void setLearningRate(float lr);
 
     /**
-     * Route the optimizer sweeps through the given kernel backend:
-     * the dense step via its adamDenseStep kernel, the sparse bitmap
-     * sweep via its sweepRanges partition (per-entry Adam is
-     * independent, so any partition -- including threaded_sweep's
-     * parallel ranges -- is bit-identical to the serial sweep).
-     * nullptr restores the scalar reference. Safe to change between
-     * steps; it never alters results.
+     * Route the dense step through the given kernel backend's
+     * adamDenseStep kernel; nullptr means simd. Safe to change between
+     * steps. The sparse sweep is a plain serial loop that no backend
+     * replaces.
      */
     void setKernelBackend(const KernelBackend *backend)
     { kernelBackend = backend; }
@@ -188,7 +185,7 @@ class Adam
     std::vector<uint64_t> activeBits;
     std::vector<uint64_t> touchedBits; //!< Scratch: this step's touches.
     size_t activeCount = 0;
-    const KernelBackend *kernelBackend = nullptr; //!< null = scalar_ref.
+    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

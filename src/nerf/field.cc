@@ -404,36 +404,14 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
 }
 
 void
-NerfField::backwardBatch(const FieldBatchRecord &rec, const float *d_sigma,
-                         const Vec3 *d_rgb, const uint8_t *skip,
-                         bool update_density, bool update_color,
-                         FieldGradients *target, Workspace &ws,
-                         const FieldTraceOverride *trace)
-{
-    // Descending sample order: the renderer's compositing order, and
-    // the order the sequential path applies gradients in.
-    int *order = ws.alloc<int>(rec.n);
-    for (int i = 0; i < rec.n; i++)
-        order[i] = rec.n - 1 - i;
-    backwardSamples(rec, order, rec.n, d_sigma, d_rgb, skip,
-                    update_density, update_color, target, ws, trace,
-                    nullptr);
-}
-
-void
 NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                           int numRays, const float *d_sigma,
                           const Vec3 *d_rgb, const uint8_t *skip,
                           bool update_density, bool update_color,
                           FieldGradients *target, Workspace &ws,
-                          const FieldTraceOverride *trace,
-                          FieldGradMergers *mergers)
+                          const FieldTraceOverride *trace)
 {
-    panicIf(mergers && !target,
-            "merged gradient writes need a target shard set");
-
-    // Rays ascending, samples descending within each span: exactly the
-    // accumulation order of per-ray backwardBatch calls in ray order.
+    // Rays ascending, samples descending within each span.
     int *order = ws.alloc<int>(rec.n);
     int count = 0;
     for (int r = 0; r < numRays; r++)
@@ -441,27 +419,8 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
              s >= spans[r].offset; s--)
             order[count++] = s;
 
-    if (mergers) {
-        if (densityGridPtr)
-            mergers->density.reset(static_cast<uint32_t>(
-                densityGridPtr->config().featuresPerEntry));
-        if (colorGridPtr)
-            mergers->color.reset(static_cast<uint32_t>(
-                colorGridPtr->config().featuresPerEntry));
-    }
-
     backwardSamples(rec, order, count, d_sigma, d_rgb, skip,
-                    update_density, update_color, target, ws, trace,
-                    mergers);
-
-    if (mergers) {
-        if (densityGridPtr)
-            mergers->density.flushInto(target->densityGrid.v.data(),
-                                       &target->densityGrid.touched);
-        if (colorGridPtr)
-            mergers->color.flushInto(target->colorGrid.v.data(),
-                                     &target->colorGrid.touched);
-    }
+                    update_density, update_color, target, ws, trace);
 }
 
 void
@@ -470,8 +429,7 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
                            const Vec3 *d_rgb, const uint8_t *skip,
                            bool update_density, bool update_color,
                            FieldGradients *target, Workspace &ws,
-                           const FieldTraceOverride *trace,
-                           FieldGradMergers *mergers)
+                           const FieldTraceOverride *trace)
 {
     TraceSink *dsink = trace ? trace->density : nullptr;
     TraceSink *csink = trace ? trace->color : nullptr;
@@ -501,29 +459,16 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
             if (update_color) {
                 colorMlpPtr->backwardSample(rec.colorMlp, s, d_rgb_arr,
                                             d_col_in, g_cmlp, ws);
-                if (mergers)
-                    colorGridPtr->backwardSampleMerged(rec.colorEnc, s,
-                                                       d_col_in,
-                                                       mergers->color,
-                                                       csink);
-                else
-                    colorGridPtr->backwardSample(rec.colorEnc, s,
-                                                 d_col_in, g_cgrid,
-                                                 t_cgrid, csink);
+                colorGridPtr->backwardSample(rec.colorEnc, s, d_col_in,
+                                             g_cgrid, t_cgrid, csink);
             }
             if (update_density) {
                 float d_raw =
                     d_sigma[s] * softplusDerivative(rec.rawSigma[s]);
                 densityMlpPtr->backwardSample(rec.densityMlp, s, &d_raw,
                                               d_feat, g_dmlp, ws);
-                if (mergers)
-                    densityGridPtr->backwardSampleMerged(
-                        rec.densityEnc, s, d_feat, mergers->density,
-                        dsink);
-                else
-                    densityGridPtr->backwardSample(rec.densityEnc, s,
-                                                   d_feat, g_dgrid,
-                                                   t_dgrid, dsink);
+                densityGridPtr->backwardSample(rec.densityEnc, s, d_feat,
+                                               g_dgrid, t_dgrid, dsink);
             }
         }
         return;
@@ -568,14 +513,8 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
                 densityMlpPtr->backwardSample(rec.densityMlp, s,
                                               d_dens_out, d_feat,
                                               g_dmlp, ws);
-                if (mergers)
-                    densityGridPtr->backwardSampleMerged(
-                        rec.densityEnc, s, d_feat, mergers->density,
-                        dsink);
-                else
-                    densityGridPtr->backwardSample(rec.densityEnc, s,
-                                                   d_feat, g_dgrid,
-                                                   t_dgrid, dsink);
+                densityGridPtr->backwardSample(rec.densityEnc, s, d_feat,
+                                               g_dgrid, t_dgrid, dsink);
             }
         }
     }

@@ -119,7 +119,7 @@ struct FieldBatchRecord
 };
 
 /**
- * Per-call trace redirection for the batched paths: when a worker
+ * Per-call trace redirection for the stream path: when a worker
  * thread processes a chunk of rays, grid accesses go to these
  * per-thread sinks and are merged in ray order afterwards. nullptr
  * members fall back to the sink attached to the respective grid.
@@ -138,19 +138,6 @@ struct RaySpan
 {
     int offset = 0;
     int count = 0;
-};
-
-/**
- * Per-grid gradient-write mergers for one chunk's backward pass
- * (TrainConfig::mergeHashGrads). Owned by the trainer (one set per
- * shard) so their buffers are reused across iterations; the field
- * resets them at the start of a stream backward and flushes them into
- * the target shard at the end.
- */
-struct FieldGradMergers
-{
-    HashGradMerger density;
-    HashGradMerger color;
 };
 
 /**
@@ -245,9 +232,11 @@ class NerfField
                      const FieldTraceOverride *trace = nullptr);
 
     /**
-     * Back-propagate a batch of per-sample output gradients in
-     * *descending* sample order (the renderer's compositing order, and
-     * the order the sequential path applies them in).
+     * Backward over a compacted multi-ray stream recorded by
+     * queryStream(): rays in *ascending* order, samples in *descending*
+     * order within each span (the renderer's compositing order, and
+     * the order the scalar path applies them in). A ray's gradients are
+     * therefore the same whichever rays share its stream.
      *
      * @param skip    If non-null, samples with skip[s] != 0 are not
      *                propagated (the renderer's gradient-skip rule).
@@ -255,32 +244,12 @@ class NerfField
      *                accumulates into the field's own grad buffers
      *                (single-threaded use only).
      */
-    void backwardBatch(const FieldBatchRecord &rec, const float *d_sigma,
-                       const Vec3 *d_rgb, const uint8_t *skip,
-                       bool update_density, bool update_color,
-                       FieldGradients *target, Workspace &ws,
-                       const FieldTraceOverride *trace = nullptr);
-
-    /**
-     * Backward over a compacted multi-ray stream recorded by
-     * queryStream(): rays in *ascending* order, samples in *descending*
-     * order within each span -- exactly the accumulation order the
-     * per-ray batched path produces, so gradients are bit-identical to
-     * calling backwardBatch() per ray.
-     *
-     * @param mergers  If non-null, hash-grid gradient writes are
-     *                 accumulated per (level, slot) and applied to
-     *                 `target` once per unique entry (BUM-style;
-     *                 bit-identical results, fewer table writes).
-     *                 Requires a non-null `target`.
-     */
     void backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                         int numRays, const float *d_sigma,
                         const Vec3 *d_rgb, const uint8_t *skip,
                         bool update_density, bool update_color,
                         FieldGradients *target, Workspace &ws,
-                        const FieldTraceOverride *trace = nullptr,
-                        FieldGradMergers *mergers = nullptr);
+                        const FieldTraceOverride *trace = nullptr);
 
     /**
      * Size `g` to this field's parameter groups and clear it for a new
@@ -327,8 +296,8 @@ class NerfField
     /**
      * Route this field's batched kernels through the given backend:
      * propagates to both grids and both MLPs and is used for the
-     * field's own dense shard reduction. nullptr restores the scalar
-     * reference everywhere.
+     * field's own dense shard reduction. nullptr means simd
+     * everywhere.
      */
     void setKernelBackend(const KernelBackend *backend);
 
@@ -374,18 +343,15 @@ class NerfField
 
   private:
     /**
-     * Shared batched-backward kernel: propagate the samples listed in
-     * `order` (skipping flagged ones) in that exact sequence. Both
-     * backwardBatch (descending) and backwardStream (ray-ascending,
-     * sample-descending) reduce to this.
+     * Batched-backward kernel of backwardStream: propagate the samples
+     * listed in `order` (skipping flagged ones) in that exact sequence.
      */
     void backwardSamples(const FieldBatchRecord &rec, const int *order,
                          int count, const float *d_sigma,
                          const Vec3 *d_rgb, const uint8_t *skip,
                          bool update_density, bool update_color,
                          FieldGradients *target, Workspace &ws,
-                         const FieldTraceOverride *trace,
-                         FieldGradMergers *mergers);
+                         const FieldTraceOverride *trace);
 
     /**
      * One grid group's dirty-entry set: the unique touched entries plus
@@ -412,7 +378,7 @@ class NerfField
     bool trackDirty = false;
     DirtySet dirtyDensity;
     DirtySet dirtyColor;
-    const KernelBackend *kernelBackend = nullptr; //!< null = scalar_ref.
+    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 /** Softplus density activation and its derivative. */

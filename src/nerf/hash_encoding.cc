@@ -222,107 +222,17 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
 }
 
 void
-HashGradMerger::reset(uint32_t features_per_entry)
-{
-    span = features_per_entry;
-    // Capacity hint from the previous flush: the smallest power of
-    // two keeping that many unique entries under 1/2 load. A chunk's
-    // touch count is stable across iterations, so this lands the
-    // table at its working size up front -- no grow/rehash chain on
-    // the first chunk of a run, and an oversized table (from one
-    // unusually dense chunk) shrinks back instead of being memset
-    // forever.
-    size_t want = kMinSlots;
-    while (want < unique * 2)
-        want <<= 1;
-    if (slots.size() != want)
-        slots.assign(want, kEmpty);
-    else if (!tableClean)
-        // flushInto already restored the all-kEmpty state after the
-        // previous chunk, so the steady-state reset skips the fill
-        // entirely (one table clear per cycle, not two).
-        std::fill(slots.begin(), slots.end(), kEmpty);
-    tableClean = true;
-    uniqOffs.clear();
-    uniqOffs.reserve(unique);
-    accs.clear();
-    accs.reserve(unique * span);
-    pushedRunning = 0;
-}
-
-void
-HashGradMerger::insertAt(uint32_t slot, uint32_t offset, float w,
-                         const float *d_out)
-{
-    tableClean = false;
-    slots[slot] = static_cast<uint32_t>(uniqOffs.size());
-    uniqOffs.push_back(offset);
-    for (uint32_t f = 0; f < span; f++)
-        accs.push_back(w * d_out[f]);
-    // Keep the load factor under 1/2 so probe chains stay short.
-    if (uniqOffs.size() * 2 > slots.size())
-        grow();
-}
-
-void
-HashGradMerger::grow()
-{
-    slots.assign(slots.size() * 2, kEmpty);
-    const uint32_t mask = static_cast<uint32_t>(slots.size()) - 1;
-    for (uint32_t i = 0; i < uniqOffs.size(); i++) {
-        uint32_t h = (uniqOffs[i] * 2654435761u) & mask;
-        while (slots[h] != kEmpty)
-            h = (h + 1) & mask;
-        slots[h] = i;
-    }
-}
-
-void
-HashGradMerger::flushInto(float *grad, std::vector<uint32_t> *touched)
-{
-    const size_t n = uniqOffs.size();
-    pushed = pushedRunning;
-    unique = n;
-    if (n == 0)
-        return;
-
-    // Apply in ascending offset order (entries are distinct, so the
-    // order is cosmetic for the sums but keeps touch lists sorted).
-    order.resize(n);
-    for (size_t i = 0; i < n; i++)
-        order[i] = (static_cast<uint64_t>(uniqOffs[i]) << 32) | i;
-    std::sort(order.begin(), order.end());
-
-    for (size_t i = 0; i < n; i++) {
-        const uint32_t off = static_cast<uint32_t>(order[i] >> 32);
-        const float *acc =
-            accs.data() +
-            static_cast<size_t>(static_cast<uint32_t>(order[i])) * span;
-        for (uint32_t f = 0; f < span; f++)
-            grad[off + f] += acc[f];
-        if (touched)
-            touched->push_back(off);
-    }
-    std::fill(slots.begin(), slots.end(), kEmpty);
-    tableClean = true;
-    uniqOffs.clear();
-    accs.clear();
-    pushedRunning = 0;
-}
-
-void
 HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
                           const float *d_out, float *grad,
                           std::vector<uint32_t> *touched,
-                          HashGradMerger *merger, TraceSink *sink) const
+                          TraceSink *sink) const
 {
     const int fpe = cfg.featuresPerEntry;
 
-    // The hot path -- untraced direct scatter -- dispatches through
-    // the kernel backend; the traced and merged variants keep the
-    // reference loop below because record/push order is part of their
-    // contract.
-    if (!merger && !sink) {
+    // The hot path -- untraced scatter -- dispatches through the kernel
+    // backend; the traced variant keeps the reference loop below
+    // because record order is part of its contract.
+    if (!sink) {
         resolveBackend(kernelBackend)
             .hashScatterSample(addrs, ws, d_out, cfg.numLevels, fpe,
                                cfg.tableSize(), grad, touched);
@@ -335,20 +245,12 @@ HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
             uint32_t addr = addrs[slot];
             float w = ws[slot];
             size_t off = entryOffset(l, addr);
-            if (merger) {
-                merger->push(static_cast<uint32_t>(off), w,
-                             d_out + static_cast<size_t>(l) * fpe);
-            } else {
-                for (int f = 0; f < fpe; f++)
-                    grad[off + f] += w * d_out[l * fpe + f];
-                if (touched)
-                    touched->push_back(static_cast<uint32_t>(off));
-            }
-
-            if (sink) {
-                sink->record({addr, static_cast<uint16_t>(l),
-                              static_cast<uint8_t>(corner), true, 0});
-            }
+            for (int f = 0; f < fpe; f++)
+                grad[off + f] += w * d_out[l * fpe + f];
+            if (touched)
+                touched->push_back(static_cast<uint32_t>(off));
+            sink->record({addr, static_cast<uint16_t>(l),
+                          static_cast<uint8_t>(corner), true, 0});
         }
     }
 }
@@ -362,7 +264,7 @@ HashEncoding::backward(const EncodeRecord &rec, const float *d_out)
     writes.fetch_add(static_cast<uint64_t>(cfg.numLevels) * 8,
                      std::memory_order_relaxed);
     backwardOne(rec.addresses.data(), rec.weights.data(), d_out,
-                gradTable.data(), nullptr, nullptr, traceSink);
+                gradTable.data(), nullptr, traceSink);
 }
 
 void
@@ -376,20 +278,7 @@ HashEncoding::backwardSample(const EncodeBatchRecord &rec, int s,
     writes.fetch_add(slots, std::memory_order_relaxed);
     backwardOne(rec.addresses + static_cast<size_t>(s) * slots,
                 rec.weights + static_cast<size_t>(s) * slots, d_out,
-                grad, touched, nullptr, sink ? sink : traceSink);
-}
-
-void
-HashEncoding::backwardSampleMerged(const EncodeBatchRecord &rec, int s,
-                                   const float *d_out,
-                                   HashGradMerger &merger, TraceSink *sink)
-{
-    panicIf(s < 0 || s >= rec.n, "sample index outside batch record");
-    const size_t slots = static_cast<size_t>(cfg.numLevels) * 8;
-    writes.fetch_add(slots, std::memory_order_relaxed);
-    backwardOne(rec.addresses + static_cast<size_t>(s) * slots,
-                rec.weights + static_cast<size_t>(s) * slots, d_out,
-                nullptr, nullptr, &merger, sink ? sink : traceSink);
+                grad, touched, sink ? sink : traceSink);
 }
 
 void

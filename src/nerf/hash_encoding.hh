@@ -76,100 +76,6 @@ struct EncodeBatchRecord
 };
 
 /**
- * BUM-style merger of hash-table gradient writes (paper Fig 10).
- *
- * Back-propagation scatters 8 entry updates per level per sample, and
- * those writes cluster on shared addresses near surfaces. The paper's
- * BUM unit coalesces colliding updates in a small associative buffer
- * before they reach memory; this class models that with a per-chunk
- * open-addressed accumulator: push() folds each (entry offset, delta)
- * write into the entry's accumulator in program order, and flushInto()
- * applies each unique entry to the gradient table exactly once, in
- * ascending offset order, with a deduplicated touch list.
- *
- * Because every gradient shard starts from zero, accumulating deltas
- * per address in program order yields bit-identical sums to the direct
- * scatter (0 + d == d in IEEE-754), so merging changes memory traffic
- * -- writes per unique entry instead of per scatter -- but not a
- * single bit of the training result.
- */
-class HashGradMerger
-{
-  public:
-    /** A fresh merger behaves like reset(1): safe to push immediately. */
-    HashGradMerger() { slots.assign(kMinSlots, kEmpty); }
-
-    /**
-     * Prepare for a new chunk: set the entry span, drop old writes.
-     * The open-addressed table is sized from the previous flush's
-     * unique-entry count (next power of two holding it under 1/2 load)
-     * instead of whatever high-water mark earlier chunks reached --
-     * chunks are stable across iterations, so the previous touch count
-     * is the right capacity hint, and both the reset fill and the
-     * flush clear stay proportional to actual traffic. Table size only
-     * affects probe order, never the per-address sums, so results are
-     * unchanged.
-     */
-    void reset(uint32_t features_per_entry);
-
-    /** Merge one scatter: entry `offset` accumulates w * d_out[0..span). */
-    void
-    push(uint32_t offset, float w, const float *d_out)
-    {
-        pushedRunning++;
-        const uint32_t mask =
-            static_cast<uint32_t>(slots.size()) - 1;
-        uint32_t h = (offset * 2654435761u) & mask;
-        for (;;) {
-            const uint32_t s = slots[h];
-            if (s == kEmpty) {
-                insertAt(h, offset, w, d_out);
-                return;
-            }
-            if (uniqOffs[s] == offset) {
-                float *acc = accs.data() + static_cast<size_t>(s) * span;
-                for (uint32_t f = 0; f < span; f++)
-                    acc[f] += w * d_out[f];
-                return;
-            }
-            h = (h + 1) & mask;
-        }
-    }
-
-    /**
-     * Apply each unique entry once into `grad` (ascending offset
-     * order) and append the unique offsets to `touched` (optional).
-     * Clears the accumulator; pushedWrites()/uniqueEntries() report
-     * the merge ratio of the flushed chunk.
-     */
-    void flushInto(float *grad, std::vector<uint32_t> *touched);
-
-    /** Writes merged since the last reset (or before the last flush). */
-    size_t pushedWrites() const { return pushed; }
-
-    /** Unique entries applied by the last flush. */
-    size_t uniqueEntries() const { return unique; }
-
-  private:
-    static constexpr uint32_t kEmpty = 0xffffffffu;
-    static constexpr size_t kMinSlots = 1024;
-
-    void insertAt(uint32_t slot, uint32_t offset, float w,
-                  const float *d_out);
-    void grow();
-
-    uint32_t span = 1;
-    bool tableClean = true;         //!< slots are all kEmpty right now.
-    std::vector<uint32_t> slots;    //!< Open-addressed: offset -> index.
-    std::vector<uint32_t> uniqOffs; //!< Unique offsets, first-touch order.
-    std::vector<float> accs;        //!< uniqOffs.size() * span sums.
-    std::vector<uint64_t> order;    //!< Flush scratch: offset<<32 | index.
-    size_t pushedRunning = 0;
-    size_t pushed = 0;
-    size_t unique = 0;
-};
-
-/**
  * One multiresolution hash-grid with trainable embeddings.
  */
 class HashEncoding
@@ -240,17 +146,6 @@ class HashEncoding
                        float *grad, std::vector<uint32_t> *touched,
                        TraceSink *sink = nullptr);
 
-    /**
-     * Like backwardSample(), but buffers every entry write into
-     * `merger` instead of scattering into a gradient table; the caller
-     * flushes the merger once per chunk (HashGradMerger::flushInto).
-     * Trace records and write counters are identical to the direct
-     * scatter -- merging only changes how the deltas reach memory.
-     */
-    void backwardSampleMerged(const EncodeBatchRecord &rec, int s,
-                              const float *d_out, HashGradMerger &merger,
-                              TraceSink *sink = nullptr);
-
     /** Trainable parameters, length numLevels * T * F. */
     std::vector<float> &params() { return table; }
     const std::vector<float> &params() const { return table; }
@@ -298,9 +193,9 @@ class HashEncoding
 
     /**
      * Route the batched kernels (encodeBatch interpolation, untraced
-     * backward scatters) through the given backend; nullptr restores
-     * the scalar reference. The scalar encode()/backward() pair stays
-     * on the reference loops.
+     * backward scatters) through the given backend; nullptr means
+     * simd. The scalar encode()/backward() pair stays on the
+     * reference loops.
      */
     void setKernelBackend(const KernelBackend *backend)
     { kernelBackend = backend; }
@@ -342,14 +237,11 @@ class HashEncoding
     void levelCorners(const Vec3 &q, int level, uint32_t *addr8,
                       float *w8) const;
 
-    /**
-     * Shared backward kernel over recorded address/weight slices.
-     * Exactly one of (`grad`, `merger`) receives the entry writes.
-     */
+    /** Shared backward kernel over recorded address/weight slices. */
     void backwardOne(const uint32_t *addrs, const float *ws,
                      const float *d_out, float *grad,
                      std::vector<uint32_t> *touched,
-                     HashGradMerger *merger, TraceSink *sink) const;
+                     TraceSink *sink) const;
 
     HashEncodingConfig cfg;
     std::vector<int> resolutions;
@@ -359,7 +251,7 @@ class HashEncoding
     std::atomic<uint64_t> reads{0};
     std::atomic<uint64_t> writes{0};
     std::atomic<uint32_t> nextPointId{0};
-    const KernelBackend *kernelBackend = nullptr; //!< null = scalar_ref.
+    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

@@ -134,9 +134,9 @@ class Mlp
 
     /**
      * Route the batched panels (forwardBatch / backwardSample) through
-     * the given kernel backend; nullptr restores the scalar reference.
-     * The scalar forward()/backward() pair never dispatches -- it *is*
-     * the reference the backends are tested against.
+     * the given kernel backend; nullptr means simd. The scalar
+     * forward()/backward() pair never dispatches -- it *is* the
+     * reference the backends are tested against.
      */
     void setKernelBackend(const KernelBackend *backend)
     { kernelBackend = backend; }
@@ -154,7 +154,7 @@ class Mlp
     std::vector<size_t> actOffsets, preOffsets;
     size_t actPerSample = 0, prePerSample = 0;
     int maxDim = 0;
-    const KernelBackend *kernelBackend = nullptr; //!< null = scalar_ref.
+    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

@@ -66,25 +66,6 @@ VolumeRenderer::renderRay(NerfField &field, const Ray &ray, Rng *jitter,
     return out;
 }
 
-RayResult
-VolumeRenderer::renderRayBatch(NerfField &field, const Ray &ray,
-                               Rng *jitter, RayBatchRecord *rec,
-                               Workspace &ws,
-                               const FieldTraceOverride *trace) const
-{
-    // The single-ray case of the stream kernels: march, one batched
-    // query, composite -- identical arithmetic to a chunk-level stream
-    // that happens to hold one ray.
-    SampleStream local;
-    SampleStream &stream = rec ? rec->stream : local;
-    marchRays(&ray, 1, jitter, stream, ws);
-
-    RayResult out;
-    renderStream(field, stream, &out, rec ? &rec->rec : nullptr, ws,
-                 trace);
-    return out;
-}
-
 void
 VolumeRenderer::marchRays(const Ray *rays, int numRays, Rng *rngs,
                           SampleStream &stream, Workspace &ws) const
@@ -103,8 +84,8 @@ VolumeRenderer::marchRays(const Ray *rays, int numRays, Rng *rngs,
     int total = 0;
     for (int r = 0; r < numRays; r++) {
         stream.dirs[r] = rays[r].direction;
-        // Same jitter stream as renderRayBatch: one draw per sample
-        // bin, all drawn before the occupancy filter.
+        // One jitter draw per sample bin, all drawn before the
+        // occupancy filter.
         Rng *jitter = rngs ? &rngs[r] : nullptr;
         for (int k = 0; k < n; k++)
             offsets[k] = jitter ? jitter->nextFloat() : 0.5f;
@@ -161,16 +142,15 @@ VolumeRenderer::backwardStream(NerfField &field,
                                const Vec3 *d_colors, bool update_density,
                                bool update_color, FieldGradients *target,
                                Workspace &ws,
-                               const FieldTraceOverride *trace,
-                               FieldGradMergers *mergers) const
+                               const FieldTraceOverride *trace) const
 {
     const int total = stream.totalSamples;
     float *d_sigma = ws.alloc<float>(total);
     Vec3 *d_rgb = ws.alloc<Vec3>(total);
     uint8_t *skip = ws.alloc<uint8_t>(total);
 
-    // Same per-ray suffix recursion as backwardRayBatch, descending
-    // over each span. Samples whose gradients fall below the skip
+    // The per-ray suffix recursion of backwardRay, descending over
+    // each span. Samples whose gradients fall below the skip
     // threshold (occluded points, post-early-stop tails) are flagged
     // and never enter the propagation stage.
     resolveBackend(kernelBackend)
@@ -182,7 +162,7 @@ VolumeRenderer::backwardStream(NerfField &field,
 
     field.backwardStream(rec.field, stream.spans, stream.numRays,
                          d_sigma, d_rgb, skip, update_density,
-                         update_color, target, ws, trace, mergers);
+                         update_color, target, ws, trace);
 }
 
 RayResult
@@ -316,18 +296,6 @@ VolumeRenderer::renderRays(NerfField &field, const Ray *rays,
         results[r].depth += cfg.tFar * trans[r];
         results[r].opacity = 1.0f - trans[r];
     }
-}
-
-void
-VolumeRenderer::backwardRayBatch(NerfField &field,
-                                 const RayBatchRecord &rec,
-                                 const Vec3 &d_color, bool update_density,
-                                 bool update_color,
-                                 FieldGradients *target, Workspace &ws,
-                                 const FieldTraceOverride *trace) const
-{
-    backwardStream(field, rec.stream, rec.rec, &d_color, update_density,
-                   update_color, target, ws, trace, nullptr);
 }
 
 void

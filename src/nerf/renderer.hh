@@ -107,19 +107,6 @@ struct StreamRecord
 };
 
 /**
- * Arena-backed forward context of one ray rendered through the batched
- * path: a one-ray sample stream plus its forward record (valid until
- * the Workspace resets). renderRayBatch/backwardRayBatch are the
- * single-ray special case of the stream kernels, so the per-ray and
- * chunk-level paths share every line of arithmetic.
- */
-struct RayBatchRecord
-{
-    SampleStream stream;
-    StreamRecord rec;
-};
-
-/**
  * Stateless renderer over a NerfField.
  */
 class VolumeRenderer
@@ -140,8 +127,8 @@ class VolumeRenderer
     /**
      * Route the stream composite kernels (renderStream's per-ray
      * compositing and backwardStream's suffix recursion) through the
-     * given kernel backend; nullptr restores the scalar reference.
-     * The scalar renderRay/backwardRay pair stays on its own loops.
+     * given kernel backend; nullptr means simd. The scalar
+     * renderRay/backwardRay pair stays on its own loops.
      */
     void setKernelBackend(const KernelBackend *backend)
     { kernelBackend = backend; }
@@ -165,20 +152,6 @@ class VolumeRenderer
     void backwardRay(NerfField &field, const RayRecord &rec,
                      const Vec3 &d_color, bool update_density = true,
                      bool update_color = true) const;
-
-    /**
-     * Training-path march of one ray: the single-ray case of
-     * marchRays + renderStream (draws the same jitter stream as
-     * renderRay, queries the surviving samples in one batch, and
-     * composites). Per-sample arithmetic matches renderRay with a
-     * record (no early stop), so results are bit-identical to the
-     * scalar path. All scratch and the record come from ws.
-     */
-    RayResult renderRayBatch(NerfField &field, const Ray &ray,
-                             Rng *jitter, RayBatchRecord *rec,
-                             Workspace &ws,
-                             const FieldTraceOverride *trace =
-                                 nullptr) const;
 
     /**
      * Eval-path march with scalar semantics (bin centers, early stop)
@@ -208,20 +181,21 @@ class VolumeRenderer
                     RayResult *results, Workspace &ws) const;
 
     /**
-     * Stage 1 of the compacted hot path: march a chunk of rays against
+     * Stage 1 of the training hot path: march a chunk of rays against
      * the occupancy grid, drawing each ray's stratified jitter from its
      * own RNG stream (rngs[r]; nullptr = bin centers), and emit the
-     * surviving samples as a flat stream. The per-ray jitter draws and
-     * the occupancy filter are exactly those of renderRayBatch, so the
-     * stream holds the same samples the per-ray path would query.
+     * surviving samples as a flat stream. Each ray draws one jitter
+     * per sample bin, all before the occupancy filter -- the same
+     * draws renderRay makes -- so a ray's samples do not depend on
+     * which other rays share its stream.
      */
     void marchRays(const Ray *rays, int numRays, Rng *rngs,
                    SampleStream &stream, Workspace &ws) const;
 
     /**
      * Stages 2-3: one NerfField::queryStream over the whole stream,
-     * then per-ray alpha compositing identical to renderRayBatch
-     * (results[r] is bit-equal to renderRayBatch on ray r). With `rec`,
+     * then per-ray alpha compositing (results[r] is bit-equal to
+     * rendering a stream that holds ray r alone). With `rec`,
      * early-stop stays disabled so gradients reach all samples.
      */
     void renderStream(NerfField &field, const SampleStream &stream,
@@ -230,37 +204,23 @@ class VolumeRenderer
                       const FieldTraceOverride *trace = nullptr) const;
 
     /**
-     * Stage 4: per-ray suffix recursion (same arithmetic as
-     * backwardRayBatch) producing the stream's (d_sigma, d_rgb, skip)
-     * arrays, then one NerfField::backwardStream in ray-ascending,
-     * sample-descending order -- bit-identical gradients to per-ray
-     * backwardRayBatch calls. `mergers`, if given, merges duplicate
-     * hash-grid gradient writes before they reach `target`.
+     * Stage 4: per-ray suffix recursion (the arithmetic of backwardRay)
+     * producing the stream's (d_sigma, d_rgb, skip) arrays, then one
+     * NerfField::backwardStream in ray-ascending, sample-descending
+     * order -- bit-identical gradients to backward passes over one-ray
+     * streams taken in ray order. Accumulates into `target` shards
+     * (nullptr = the field's own gradient buffers).
      */
     void backwardStream(NerfField &field, const SampleStream &stream,
                         const StreamRecord &rec, const Vec3 *d_colors,
                         bool update_density, bool update_color,
                         FieldGradients *target, Workspace &ws,
-                        const FieldTraceOverride *trace = nullptr,
-                        FieldGradMergers *mergers = nullptr) const;
-
-    /**
-     * Batched counterpart of backwardRay: computes every sample's
-     * (d_sigma, d_rgb) with the same suffix recursion, then propagates
-     * through the field in the same descending order, accumulating into
-     * `target` shards (nullptr = the field's own gradient buffers).
-     */
-    void backwardRayBatch(NerfField &field, const RayBatchRecord &rec,
-                          const Vec3 &d_color, bool update_density,
-                          bool update_color, FieldGradients *target,
-                          Workspace &ws,
-                          const FieldTraceOverride *trace =
-                              nullptr) const;
+                        const FieldTraceOverride *trace = nullptr) const;
 
   private:
     RendererConfig cfg;
     const OccupancyGrid *occupancy = nullptr;
-    const KernelBackend *kernelBackend = nullptr; //!< null = scalar_ref.
+    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

@@ -72,7 +72,7 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
     }
 
     // Sparse lazy Adam over touched grid entries: only meaningful on
-    // the batched paths (the scalar reference scatters without touch
+    // the stream path (the scalar reference scatters without touch
     // lists) and only exact without weight decay, which feeds params
     // into the gradient of untouched entries.
     sparseActive = cfg.sparseOptimizer && !cfg.scalarReference &&
@@ -102,14 +102,14 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
 
     // One kernel backend per trainer, routed through every batched
     // kernel: the MLP panels, the grid interp/scatter, the renderer's
-    // stream composite, the dense shard reduction, and the optimizer
-    // sweeps. The scalarReference baseline pins scalar_ref outright
+    // stream composite, the dense shard reduction, and the dense Adam
+    // step. The scalarReference baseline pins scalar_ref outright
     // (bypassing config and env override): its per-sample kernels
     // never dispatch, and its Adam steps must stay on the frozen
     // seed-exact trajectory too.
     backend = cfg.scalarReference
                   ? makeScalarRefBackend()
-                  : createKernelBackend(cfg.kernelBackend, pool.get());
+                  : createKernelBackend(cfg.kernelBackend);
     fieldPtr->setKernelBackend(backend.get());
     rendererPtr->setKernelBackend(backend.get());
     for (auto &opt : optimizers)
@@ -117,8 +117,6 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
 
     workspaces.resize(pool->threadCount());
     shards.resize(std::min(cfg.gradShards, cfg.raysPerBatch));
-    if (cfg.mergeHashGrads)
-        mergers.resize(shards.size());
 }
 
 bool
@@ -216,12 +214,6 @@ Trainer::trainIteration()
         }
     }
 
-    // The compacted stream reorders grid accesses within a chunk (all
-    // forward reads, then all backward writes), so it defers to the
-    // per-ray path whenever a trace sink expects program order.
-    const bool compact = cfg.compactSamples && !traced;
-    const bool merge = compact && cfg.mergeHashGrads;
-
     // Per-chunk phase times, summed after the parallel section (so the
     // instrumentation needs no atomics and stays deterministic).
     struct ChunkPhases
@@ -251,18 +243,24 @@ Trainer::trainIteration()
             return;
         }
 
-        if (compact) {
-            // Compacted hot path: one arena generation, one sample
-            // stream, and one field query per chunk.
+        // A stream issues all its forward reads before any backward
+        // write, so a traced chunk streams one ray at a time to keep
+        // the trace in program order (each ray's reads, then its
+        // writes). Untraced, the whole chunk is one stream: one arena
+        // generation, one march, one field query.
+        const int per_stream = traced ? 1 : nr;
+        double loss_acc = 0.0;
+        for (int s0 = 0; s0 < nr; s0 += per_stream) {
             ws.reset();
-            Rng *rngs = ws.alloc<Rng>(nr);
-            Ray *rays = ws.alloc<Ray>(nr);
-            Vec3 *gts = ws.alloc<Vec3>(nr);
-            for (int i = 0; i < nr; i++) {
-                // Per-ray stream: results do not depend on which
+            Rng *rngs = ws.alloc<Rng>(per_stream);
+            Ray *rays = ws.alloc<Ray>(per_stream);
+            Vec3 *gts = ws.alloc<Vec3>(per_stream);
+            for (int i = 0; i < per_stream; i++) {
+                // Per-ray RNG stream: results do not depend on which
                 // thread (or chunk schedule) processed this ray.
                 rngs[i] = Rng::forIndex(
-                    cfg.seed, it, static_cast<uint64_t>(r_begin + i));
+                    cfg.seed, it,
+                    static_cast<uint64_t>(r_begin + s0 + i));
                 sampleTrainingRay(rngs[i], rays[i], gts[i]);
             }
 
@@ -270,13 +268,13 @@ Trainer::trainIteration()
             // surviving samples enter the stream.
             double t0 = phased ? tick() : 0.0;
             SampleStream stream;
-            rendererPtr->marchRays(rays, nr, rngs, stream, ws);
+            rendererPtr->marchRays(rays, per_stream, rngs, stream, ws);
 
             // Steps 3b-4: one field query over the stream + per-ray
             // compositing.
             double t1 = phased ? tick() : 0.0;
             StreamRecord srec;
-            RayResult *results = ws.alloc<RayResult>(nr);
+            RayResult *results = ws.alloc<RayResult>(per_stream);
             rendererPtr->renderStream(*fieldPtr, stream, results, &srec,
                                       ws, trace);
             if (phased) {
@@ -285,64 +283,21 @@ Trainer::trainIteration()
             }
 
             // Step 5: squared-error loss and dL/dC per ray.
-            double loss_acc = 0.0;
-            Vec3 *d_colors = ws.alloc<Vec3>(nr);
-            for (int i = 0; i < nr; i++) {
+            Vec3 *d_colors = ws.alloc<Vec3>(per_stream);
+            for (int i = 0; i < per_stream; i++) {
                 Vec3 err = results[i].color - gts[i];
                 loss_acc += (err.x * err.x + err.y * err.y +
                              err.z * err.z) / 3.0;
                 d_colors[i] = err * (2.0f / 3.0f * inv_batch);
             }
 
-            // Step 6: stream backward into this chunk's shard,
-            // optionally merging duplicate grid writes first.
+            // Step 6: stream backward into this chunk's shard.
             double t2 = phased ? tick() : 0.0;
             rendererPtr->backwardStream(
                 *fieldPtr, stream, srec, d_colors, stats.densityUpdated,
-                stats.colorUpdated, &shard, ws, trace,
-                merge ? &mergers[c] : nullptr);
+                stats.colorUpdated, &shard, ws, trace);
             if (phased)
                 chunkPhases[c].backward += tick() - t2;
-            chunkLoss[c] = loss_acc;
-            return;
-        }
-
-        double loss_acc = 0.0;
-        for (int r = r_begin; r < r_end; r++) {
-            ws.reset();
-            // Per-ray stream: results do not depend on which thread
-            // (or chunk schedule) processed this ray.
-            Rng ray_rng = Rng::forIndex(cfg.seed, it,
-                                        static_cast<uint64_t>(r));
-            Ray ray;
-            Vec3 gt;
-            sampleTrainingRay(ray_rng, ray, gt);
-
-            // Steps 3-4: batched field query + compositing. The
-            // per-ray path marches inside renderRayBatch, so its cost
-            // lands in the forward phase.
-            double t0 = phased ? tick() : 0.0;
-            RayBatchRecord rec;
-            RayResult result = rendererPtr->renderRayBatch(
-                *fieldPtr, ray, &ray_rng, &rec, ws, trace);
-            double t1 = phased ? tick() : 0.0;
-
-            // Step 5: squared-error loss.
-            Vec3 err = result.color - gt;
-            loss_acc +=
-                (err.x * err.x + err.y * err.y + err.z * err.z) / 3.0;
-
-            // Step 6: back-propagate dL/dC = 2 * err / (3 * batch)
-            // into this chunk's gradient shard.
-            Vec3 d_color = err * (2.0f / 3.0f * inv_batch);
-            rendererPtr->backwardRayBatch(*fieldPtr, rec, d_color,
-                                          stats.densityUpdated,
-                                          stats.colorUpdated, &shard,
-                                          ws, trace);
-            if (phased) {
-                chunkPhases[c].forward += t1 - t0;
-                chunkPhases[c].backward += tick() - t1;
-            }
         }
         chunkLoss[c] = loss_acc;
     });
@@ -370,14 +325,6 @@ Trainer::trainIteration()
         for (int c = 0; c < num_chunks; c++) {
             fieldPtr->reduceGradients(shards[c]);
             loss_acc += chunkLoss[c];
-            if (merge) {
-                stats.gridGradWrites +=
-                    mergers[c].density.pushedWrites() +
-                    mergers[c].color.pushedWrites();
-                stats.gridGradWritesMerged +=
-                    mergers[c].density.uniqueEntries() +
-                    mergers[c].color.uniqueEntries();
-            }
         }
     }
 
@@ -412,7 +359,7 @@ Trainer::trainIteration()
     }
 
     // O(touched) clear when every grid scatter went through a touch
-    // list (any batched path); full scan otherwise.
+    // list (the sparse optimizer's dirty union); full scan otherwise.
     {
         obs::ScopedTimer timer(
             timed ? &stats.phases.zeroGrad : nullptr,
@@ -454,7 +401,7 @@ Trainer::trainIteration()
  * The original strictly-sequential training iteration: one shared RNG
  * stream, scalar per-sample field queries, per-call heap allocation.
  * Baseline for bench_train_throughput; not bit-comparable with the
- * batched path (different pixel-sampling streams).
+ * stream path (different pixel-sampling streams).
  */
 TrainStats
 Trainer::trainIterationScalar()

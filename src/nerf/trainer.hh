@@ -16,8 +16,10 @@
  * its own RNG stream keyed by (seed, iteration, ray index), each chunk
  * accumulates gradients into its own shard, and shards are reduced
  * into the field in fixed chunk order -- so training is bit-identical
- * for any thread count. Grid trace sinks remain usable: worker chunks
- * buffer their accesses and the trainer merges them in ray order.
+ * for any thread count. Grid trace sinks remain usable: a traced
+ * iteration runs each chunk's stream one ray at a time, so every ray's
+ * reads precede its writes, worker chunks buffer their accesses, and
+ * the trainer merges them in ray order.
  */
 
 #ifndef INSTANT3D_NERF_TRAINER_HH
@@ -82,30 +84,6 @@ struct TrainConfig
     bool scalarReference = false;
 
     /**
-     * Process each chunk as one occupancy-compacted sample stream
-     * (march all rays -> single field query over the surviving samples
-     * -> per-ray compositing -> stream backward) instead of per-ray
-     * batches, paying per-ray kernel fixed costs once per chunk.
-     * Bit-identical to the per-ray batched path -- with or without an
-     * occupancy grid -- and to itself at any thread count. Falls back
-     * to the per-ray path while a trace sink is attached, because the
-     * stream reorders grid accesses (all reads, then all writes) and
-     * trace record order is part of the trace contract.
-     */
-    bool compactSamples = true;
-
-    /**
-     * Merge duplicate hash-table gradient writes per chunk (the
-     * paper's BUM idea, Fig 10): each chunk's grid scatters accumulate
-     * in a small per-chunk buffer and colliding writes cost one table
-     * update instead of many; the deduplicated touch lists also
-     * shrink the shard reduction. Per-address sums keep program order
-     * and shards start from zero, so training stays bit-identical to
-     * the unmerged path. Only active on the compacted path.
-     */
-    bool mergeHashGrads = false;
-
-    /**
      * Step the grid parameter groups with the sparse lazy Adam: the
      * optimizer visits only the entries this iteration's scatters
      * touched (the dirty union of the shard touch lists) plus the
@@ -113,23 +91,20 @@ struct TrainConfig
      * gradient clear visits only the touched entries -- never the full
      * tables. Entries with zero momentum owe only bit-exact no-op
      * updates, so training is bit-identical to the dense optimizer at
-     * every iteration. Active on the batched paths when adam.l2Reg ==
-     * 0 (weight decay makes untouched gradients nonzero); the scalar
+     * every iteration. Active on the stream path when adam.l2Reg == 0
+     * (weight decay makes untouched gradients nonzero); the scalar
      * reference path and the MLP groups stay dense.
      */
     bool sparseOptimizer = true;
 
     /**
-     * Kernel backend for the batched hot-path kernels: "scalar_ref"
-     * (the reference loops), "simd" (order-preserving vectorized
-     * loops), "threaded_sweep" (scalar kernels + optimizer sweeps over
-     * the thread pool), or "auto" (threaded_sweep when the pool has
-     * more than one worker, else scalar_ref -- both bit-identical to
-     * the historical path). The INSTANT3D_KERNEL_BACKEND environment
-     * variable overrides this field. See src/kernels/kernel_backend.hh
-     * for the per-backend determinism contract.
+     * Kernel backend for the batched hot-path kernels: "simd" (the
+     * order-preserving vectorized loops) or "scalar_ref" (the
+     * reference loops). The INSTANT3D_KERNEL_BACKEND environment
+     * variable overrides this field; any other name is fatal. See
+     * src/kernels/kernel_backend.hh for the determinism contract.
      */
-    std::string kernelBackend = "auto";
+    std::string kernelBackend = "simd";
 
     /**
      * Record a wall-time breakdown of each iteration's phases into
@@ -167,14 +142,6 @@ struct TrainStats
     bool colorUpdated = false;
 
     /**
-     * Hash-grid gradient-write merging (mergeHashGrads only, both
-     * grids summed): logical scatters buffered vs unique table entries
-     * actually written. Their ratio is the Fig 10 merge factor.
-     */
-    uint64_t gridGradWrites = 0;
-    uint64_t gridGradWritesMerged = 0;
-
-    /**
      * Touched grid entries stepped by the sparse optimizer this
      * iteration (0 when stepping densely) -- the per-iteration work
      * the sparse path pays instead of the full table scan.
@@ -204,7 +171,7 @@ class Trainer
     /** Worker threads in use (after auto resolution). */
     int threadCount() const { return pool->threadCount(); }
 
-    /** Resolved kernel-backend name (after auto/env resolution). */
+    /** Resolved kernel-backend name (after env resolution). */
     const char *kernelBackendName() const { return backend->name(); }
 
     /** The occupancy grid, or nullptr when skipping is disabled. */
@@ -265,9 +232,9 @@ class Trainer
 
     /**
      * Steps 1-2 of the loop: draw one training pixel (view, column,
-     * row) and the jittered ray through it from `rng`. Every training
-     * path (scalar, per-ray batched, compacted) consumes exactly this
-     * draw sequence, which is what keeps them bit-comparable.
+     * row) and the jittered ray through it from `rng`. Both training
+     * paths (scalar reference and sample stream) consume exactly this
+     * draw sequence.
      */
     void sampleTrainingRay(Rng &rng, Ray &ray, Vec3 &gt) const;
 
@@ -287,7 +254,6 @@ class Trainer
     std::unique_ptr<KernelBackend> backend;
     std::vector<Workspace> workspaces;    //!< One per thread rank.
     std::vector<FieldGradients> shards;   //!< One per ray chunk.
-    std::vector<FieldGradMergers> mergers; //!< One per chunk (if merging).
     std::vector<double> chunkLoss;
     Rng rng;
     int iter = 0;

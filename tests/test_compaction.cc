@@ -1,19 +1,15 @@
 /**
  * @file
- * Tests for the occupancy-compacted sample stream and the merged
- * hash-gradient writes (PR 2):
+ * Tests for the occupancy-compacted sample stream:
  *
  *  - OccupancyGrid::update() is deterministic (fixed seed -> identical
  *    grid) and its batched row queries match scalar field probes.
  *  - queryStream over a multi-ray stream matches per-ray queryBatch
  *    bit-exactly.
- *  - HashGradMerger applies the same total gradient as the direct
- *    scatter (mathematically; compared with tolerance), deduplicates
- *    the touch list, and is bit-deterministic.
- *  - Compacted training is bit-identical to the dense per-ray batched
- *    path, with a fully-occupied grid and with real skipping.
- *  - Merged-gradient training is bit-identical across thread counts
- *    and loss-equivalent to the unmerged path.
+ *  - A traced iteration (one ray per stream, so the trace keeps program
+ *    order) trains bit-identically to the untraced chunk-wide stream,
+ *    with a fully-occupied grid and with real skipping, at 1 and 4
+ *    threads.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +20,7 @@
 #include "common/rng.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
+#include "trace/mem_trace.hh"
 
 namespace instant3d {
 namespace {
@@ -169,75 +166,6 @@ TEST(SampleStreamTest, QueryStreamMatchesPerRayQueryBatch)
     EXPECT_EQ(stream_field.queryCount(), ray_field.queryCount());
 }
 
-// ---- HashGradMerger ----------------------------------------------------
-
-TEST(HashGradMergerTest, MergesDuplicatesAndMatchesDirectScatter)
-{
-    HashEncodingConfig cfg;
-    cfg.numLevels = 3;
-    cfg.log2TableSize = 6; // tiny table -> many collisions
-    cfg.baseResolution = 8;
-    HashEncoding enc(cfg, 5);
-
-    Rng r(9);
-    const int n = 40;
-    std::vector<Vec3> pts;
-    for (int i = 0; i < n; i++)
-        pts.push_back({r.nextFloat(), r.nextFloat(), r.nextFloat()});
-    const int dim = enc.outputDim();
-    std::vector<float> out(static_cast<size_t>(n) * dim);
-    std::vector<float> d_out(static_cast<size_t>(n) * dim);
-    for (auto &v : d_out)
-        v = r.nextFloat(-1.0f, 1.0f);
-
-    Workspace ws;
-    EncodeBatchRecord rec;
-    enc.encodeBatch(pts.data(), n, out.data(), &rec, ws);
-
-    // Direct scatter reference.
-    std::vector<float> direct(enc.grads().size(), 0.0f);
-    std::vector<uint32_t> direct_touched;
-    for (int s = 0; s < n; s++)
-        enc.backwardSample(rec, s, d_out.data() + s * dim, direct.data(),
-                           &direct_touched);
-
-    // Merged path, twice (bit-determinism).
-    auto run_merged = [&](std::vector<float> &grad,
-                          std::vector<uint32_t> &touched,
-                          HashGradMerger &merger) {
-        merger.reset(static_cast<uint32_t>(cfg.featuresPerEntry));
-        for (int s = 0; s < n; s++)
-            enc.backwardSampleMerged(rec, s, d_out.data() + s * dim,
-                                     merger);
-        merger.flushInto(grad.data(), &touched);
-    };
-    HashGradMerger m1, m2;
-    std::vector<float> merged1(enc.grads().size(), 0.0f);
-    std::vector<float> merged2(enc.grads().size(), 0.0f);
-    std::vector<uint32_t> touched1, touched2;
-    run_merged(merged1, touched1, m1);
-    run_merged(merged2, touched2, m2);
-
-    // Duplicates must actually merge on this colliding workload.
-    const size_t writes = static_cast<size_t>(n) * cfg.numLevels * 8;
-    EXPECT_EQ(m1.pushedWrites(), writes);
-    EXPECT_LT(m1.uniqueEntries(), writes / 2)
-        << "tiny table must produce heavy write sharing";
-    EXPECT_EQ(touched1.size(), m1.uniqueEntries());
-    for (size_t i = 1; i < touched1.size(); i++)
-        ASSERT_LT(touched1[i - 1], touched1[i])
-            << "touch list must be unique and ascending";
-
-    // Per-address accumulation keeps program order and the table
-    // starts from zero, so the merged result is bit-identical to the
-    // direct scatter (and trivially bit-deterministic).
-    ASSERT_EQ(touched1, touched2);
-    for (size_t i = 0; i < merged1.size(); i++)
-        ASSERT_EQ(merged1[i], merged2[i]) << "grad " << i;
-    for (size_t i = 0; i < merged1.size(); i++)
-        ASSERT_EQ(merged1[i], direct[i]) << "grad " << i;
-}
-
 // ---- Training parity ---------------------------------------------------
 
 std::vector<float>
@@ -252,12 +180,13 @@ allParams(Trainer &t)
 }
 
 /**
- * The tentpole parity contract: the compacted stream path is
- * bit-identical to the dense per-ray batched path, both with a grid
- * that never clears (stays fully occupied) and with real empty-space
- * skipping engaged.
+ * A trace sink only changes how a chunk is streamed (one ray at a
+ * time, so each ray's reads precede its writes), never the numbers:
+ * a traced trainer matches an untraced one bit for bit, both with a
+ * grid that never clears (stays fully occupied) and with real
+ * empty-space skipping engaged, at any thread count.
  */
-TEST(CompactionParityTest, CompactedMatchesDensePerRayPath)
+TEST(CompactionParityTest, TracedMatchesUntracedStream)
 {
     Dataset ds = smallDataset();
 
@@ -270,111 +199,55 @@ TEST(CompactionParityTest, CompactedMatchesDensePerRayPath)
     for (const Scenario &sc :
          {Scenario{"fully-occupied", 1 << 20, 0.95f},
           Scenario{"skipping", 2, 0.5f}}) {
-        TrainConfig base;
-        base.raysPerBatch = 48;
-        base.samplesPerRay = 24;
-        base.useOccupancyGrid = true;
-        base.occupancyUpdatePeriod = sc.updatePeriod;
-        base.occupancy.resolution = 8;
-        base.occupancy.decay = sc.decay;
-        base.numThreads = 2;
+        for (int threads : {1, 4}) {
+            TrainConfig tcfg;
+            tcfg.raysPerBatch = 48;
+            tcfg.samplesPerRay = 24;
+            tcfg.useOccupancyGrid = true;
+            tcfg.occupancyUpdatePeriod = sc.updatePeriod;
+            tcfg.occupancy.resolution = 8;
+            tcfg.occupancy.decay = sc.decay;
+            tcfg.numThreads = threads;
 
-        TrainConfig dense = base;
-        dense.compactSamples = false;
-        TrainConfig compact = base;
-        compact.compactSamples = true;
+            Trainer plain_t(ds, smallField(), tcfg);
+            Trainer traced_t(ds, smallField(), tcfg);
+            MemTraceCollector density_trace, color_trace;
+            traced_t.field().densityGrid().setTraceSink(&density_trace);
+            traced_t.field().colorGrid().setTraceSink(&color_trace);
+            for (int i = 0; i < 10; i++) {
+                TrainStats a = plain_t.trainIteration();
+                TrainStats b = traced_t.trainIteration();
+                ASSERT_EQ(a.loss, b.loss) << sc.name << ", " << threads
+                                          << " threads, iteration " << i;
+                ASSERT_EQ(a.pointsQueried, b.pointsQueried)
+                    << sc.name << ", " << threads << " threads, iteration "
+                    << i;
+            }
+            std::vector<float> pa = allParams(plain_t);
+            std::vector<float> pb = allParams(traced_t);
+            ASSERT_EQ(pa.size(), pb.size());
+            for (size_t i = 0; i < pa.size(); i++)
+                ASSERT_EQ(pa[i], pb[i]) << sc.name << ", " << threads
+                                        << " threads, param " << i;
 
-        Trainer dense_t(ds, smallField(), dense);
-        Trainer compact_t(ds, smallField(), compact);
-        for (int i = 0; i < 10; i++) {
-            TrainStats a = dense_t.trainIteration();
-            TrainStats b = compact_t.trainIteration();
-            ASSERT_EQ(a.loss, b.loss)
-                << sc.name << " iteration " << i;
-            ASSERT_EQ(a.pointsQueried, b.pointsQueried)
-                << sc.name << " iteration " << i;
-        }
-        std::vector<float> pa = allParams(dense_t);
-        std::vector<float> pb = allParams(compact_t);
-        ASSERT_EQ(pa.size(), pb.size());
-        for (size_t i = 0; i < pa.size(); i++)
-            ASSERT_EQ(pa[i], pb[i]) << sc.name << " param " << i;
+            for (const MemTraceCollector *trace :
+                 {&density_trace, &color_trace}) {
+                EXPECT_FALSE(trace->reads().empty()) << sc.name;
+                EXPECT_FALSE(trace->writes().empty()) << sc.name;
+            }
+            traced_t.field().densityGrid().setTraceSink(nullptr);
+            traced_t.field().colorGrid().setTraceSink(nullptr);
 
-        if (sc.updatePeriod == 1 << 20) {
-            EXPECT_DOUBLE_EQ(
-                compact_t.occupancyGrid()->occupiedFraction(), 1.0);
-        } else {
-            // The skipping scenario must actually skip.
-            EXPECT_LT(compact_t.occupancyGrid()->occupiedFraction(),
-                      1.0);
+            if (sc.updatePeriod == 1 << 20) {
+                EXPECT_DOUBLE_EQ(
+                    traced_t.occupancyGrid()->occupiedFraction(), 1.0);
+            } else {
+                // The skipping scenario must actually skip.
+                EXPECT_LT(traced_t.occupancyGrid()->occupiedFraction(),
+                          1.0);
+            }
         }
     }
-}
-
-/**
- * Merging coalesces grid-gradient writes without touching numerics:
- * bit-identical across thread counts AND bit-identical to the
- * unmerged path (per-address sums keep program order and shards start
- * from zero).
- */
-TEST(CompactionParityTest, MergedGradsDeterministicAndLossEquivalent)
-{
-    Dataset ds = smallDataset();
-    TrainConfig base;
-    base.raysPerBatch = 48;
-    base.samplesPerRay = 24;
-    base.mergeHashGrads = true;
-
-    std::vector<double> ref_losses;
-    std::vector<float> ref_params;
-    for (int threads : {1, 4}) {
-        TrainConfig tcfg = base;
-        tcfg.numThreads = threads;
-        Trainer trainer(ds, smallField(), tcfg);
-        std::vector<double> losses;
-        uint64_t writes = 0, merged = 0;
-        for (int i = 0; i < 10; i++) {
-            TrainStats st = trainer.trainIteration();
-            losses.push_back(st.loss);
-            writes += st.gridGradWrites;
-            merged += st.gridGradWritesMerged;
-        }
-        EXPECT_GT(writes, 0u);
-        EXPECT_LT(merged, writes)
-            << "BP grid writes share addresses (Fig 10); merging must "
-               "collapse some";
-        std::vector<float> params = allParams(trainer);
-        if (threads == 1) {
-            ref_losses = losses;
-            ref_params = params;
-            continue;
-        }
-        for (size_t i = 0; i < losses.size(); i++)
-            ASSERT_EQ(losses[i], ref_losses[i]) << "iteration " << i;
-        ASSERT_EQ(params.size(), ref_params.size());
-        for (size_t i = 0; i < params.size(); i++)
-            ASSERT_EQ(params[i], ref_params[i]) << "param " << i;
-    }
-
-    // Bit-equality with the unmerged path, and still learning.
-    TrainConfig plain = base;
-    plain.mergeHashGrads = false;
-    Trainer merged_t(ds, smallField(), base);
-    Trainer plain_t(ds, smallField(), plain);
-    double merged_last = 0.0, plain_last = 0.0, merged_first = 0.0;
-    for (int i = 0; i < 40; i++) {
-        merged_last = merged_t.trainIteration().loss;
-        plain_last = plain_t.trainIteration().loss;
-        if (i == 0)
-            merged_first = merged_last;
-        ASSERT_EQ(merged_last, plain_last) << "iteration " << i;
-    }
-    std::vector<float> pm = allParams(merged_t);
-    std::vector<float> pp = allParams(plain_t);
-    ASSERT_EQ(pm.size(), pp.size());
-    for (size_t i = 0; i < pm.size(); i++)
-        ASSERT_EQ(pm[i], pp[i]) << "param " << i;
-    EXPECT_LT(merged_last, merged_first) << "loss should decrease";
 }
 
 } // namespace

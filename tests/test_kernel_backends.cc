@@ -13,9 +13,8 @@
  *    in the two backends; that is the documented contract, see
  *    src/kernels/kernel_backend.hh).
  *
- *  - threaded_sweep is bit-identical by construction (per-entry Adam
- *    is independent); asserted at 1, 2, and 8 pool threads, both at
- *    the kernel level and end-to-end through the Trainer.
+ * A null backend pointer means simd, so every reference case below
+ * installs scalar_ref by name.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 
 #include "common/rng.hh"
 #include "common/cpu_features.hh"
-#include "common/thread_pool.hh"
 #include "common/workspace.hh"
 #include "kernels/kernel_backend.hh"
 #include "nerf/trainer.hh"
@@ -55,7 +53,7 @@ bits(float v)
     return u;
 }
 
-/** Bitwise equality for scalar_ref/threaded_sweep outputs. */
+/** Bitwise equality for scalar_ref outputs. */
 void
 expectBitEqual(const float *a, const float *b, size_t n,
                const char *what)
@@ -110,8 +108,6 @@ TEST(KernelBackendTest, ForwardPanelParityAcrossShapes)
 {
     auto scalar = makeScalarRefBackend();
     auto simd = makeSimdBackend();
-    ThreadPool pool(2);
-    auto threaded = makeThreadedSweepBackend(&pool);
     Rng r(41);
     Workspace ws;
 
@@ -142,13 +138,6 @@ TEST(KernelBackendTest, ForwardPanelParityAcrossShapes)
                                "scalar_ref forward panel");
 
                 ws.reset();
-                threaded->mlpForwardPanel(in.data(), n, n_in, n_out,
-                                          w.data(), b.data(),
-                                          out.data(), ws);
-                expectBitEqual(ref.data(), out.data(), ref.size(),
-                               "threaded_sweep forward panel");
-
-                ws.reset();
                 simd->mlpForwardPanel(in.data(), n, n_in, n_out,
                                       w.data(), b.data(), out.data(),
                                       ws);
@@ -164,9 +153,8 @@ TEST(KernelBackendTest, MlpBatchMatchesScalarPerBackend)
     // Through the real Mlp, all hidden widths the repo uses plus odd
     // ones, with both output activations: the batched forward and the
     // per-sample backward must match the scalar reference kernels.
-    ThreadPool pool(2);
+    auto scalar = makeScalarRefBackend();
     auto simd = makeSimdBackend();
-    auto threaded = makeThreadedSweepBackend(&pool);
 
     for (int hidden : {8, 16, 17, 32, 33, 64}) {
         for (auto act :
@@ -207,8 +195,7 @@ TEST(KernelBackendTest, MlpBatchMatchesScalarPerBackend)
                 bool exact;
             };
             const BackendCase cases[] = {
-                {nullptr, "scalar_ref", true},
-                {threaded.get(), "threaded_sweep", true},
+                {scalar.get(), "scalar_ref", true},
                 {simd.get(), "simd", kSimdBitExact},
             };
             for (const auto &c : cases) {
@@ -254,9 +241,8 @@ TEST(KernelBackendTest, HashEncodeAndScatterMatchScalarPerBackend)
     cfg.log2TableSize = 10;
     cfg.baseResolution = 8;
 
-    ThreadPool pool(2);
+    auto scalar = makeScalarRefBackend();
     auto simd = makeSimdBackend();
-    auto threaded = makeThreadedSweepBackend(&pool);
 
     for (int n : {1, 3, 17}) { // odd batches
         HashEncoding ref_enc(cfg, 99);
@@ -293,8 +279,7 @@ TEST(KernelBackendTest, HashEncodeAndScatterMatchScalarPerBackend)
             bool exact;
         };
         const BackendCase cases[] = {
-            {nullptr, "scalar_ref", true},
-            {threaded.get(), "threaded_sweep", true},
+            {scalar.get(), "scalar_ref", true},
             {simd.get(), "simd", kSimdBitExact},
         };
         for (const auto &c : cases) {
@@ -357,75 +342,14 @@ TEST(KernelBackendTest, AdamDenseStepParityPerBackend)
         }
     };
 
+    auto scalar = makeScalarRefBackend();
     std::vector<float> ref;
-    run(nullptr, 25, ref);
-
-    for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        auto threaded = makeThreadedSweepBackend(&pool);
-        std::vector<float> got;
-        run(threaded.get(), 25, got);
-        expectBitEqual(ref.data(), got.data(), n,
-                       "threaded_sweep dense Adam");
-    }
+    run(scalar.get(), 25, ref);
 
     auto simd = makeSimdBackend();
     std::vector<float> got;
     run(simd.get(), 25, got);
     expectSimdMatch(ref.data(), got.data(), n, "simd dense Adam");
-}
-
-TEST(KernelBackendTest, SparseSweepBitIdenticalUnderThreading)
-{
-    // Random touch schedules with gaps and re-touches: the threaded
-    // bitmap sweep must stay on the serial sweep's exact trajectory
-    // at every pool size.
-    constexpr uint32_t span = 2;
-    constexpr size_t entries = 512;
-    constexpr size_t n = entries * span;
-    constexpr int steps = 60;
-
-    AdamConfig acfg;
-    acfg.lr = 0.05f;
-
-    auto run = [&](const KernelBackend *kb, std::vector<float> &out) {
-        Adam adam(n, acfg);
-        adam.setKernelBackend(kb);
-        adam.enableSparse(span);
-        Rng init(3);
-        out.resize(n);
-        for (auto &v : out)
-            v = init.nextFloat(-1.0f, 1.0f);
-        std::vector<float> grads(n, 0.0f);
-        Rng sched(9);
-        for (int s = 0; s < steps; s++) {
-            std::vector<uint32_t> touched;
-            const int k = 1 + static_cast<int>(sched.nextU32(64));
-            for (int i = 0; i < k; i++) {
-                uint32_t e = sched.nextU32(entries);
-                touched.push_back(e * span);
-                for (uint32_t f = 0; f < span; f++)
-                    grads[e * span + f] =
-                        sched.nextFloat(-1.0f, 1.0f);
-            }
-            adam.stepSparse(out, grads, touched);
-            for (uint32_t off : touched)
-                for (uint32_t f = 0; f < span; f++)
-                    grads[off + f] = 0.0f;
-        }
-        adam.catchUp(out);
-    };
-
-    std::vector<float> ref;
-    run(nullptr, ref);
-    for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        auto threaded = makeThreadedSweepBackend(&pool);
-        std::vector<float> got;
-        run(threaded.get(), got);
-        expectBitEqual(ref.data(), got.data(), n,
-                       "threaded sparse sweep");
-    }
 }
 
 // ---- End-to-end through the Trainer ------------------------------------
@@ -455,44 +379,6 @@ smallDataset()
     cfg.imageHeight = 16;
     cfg.renderOpts.numSteps = 48;
     return makeDataset(scene, cfg);
-}
-
-TEST(KernelBackendTest, TrainerThreadedSweepBitIdentical)
-{
-    Dataset data = smallDataset();
-    TrainConfig base;
-    base.raysPerBatch = 64;
-    base.samplesPerRay = 24;
-    base.seed = 11;
-    const int iters = 10;
-
-    base.kernelBackend = "scalar_ref";
-    base.numThreads = 1;
-    Trainer ref(data, smallField(), base);
-    std::vector<double> ref_losses;
-    for (int i = 0; i < iters; i++)
-        ref_losses.push_back(ref.trainIteration().loss);
-    ref.syncParams();
-
-    for (int threads : {1, 2, 8}) {
-        TrainConfig tc = base;
-        tc.kernelBackend = "threaded_sweep";
-        tc.numThreads = threads;
-        Trainer t(data, smallField(), tc);
-        EXPECT_STREQ(t.kernelBackendName(), "threaded_sweep");
-        for (int i = 0; i < iters; i++)
-            ASSERT_EQ(t.trainIteration().loss, ref_losses[i])
-                << "loss diverged at iteration " << i << " with "
-                << threads << " threads";
-        t.syncParams();
-        for (auto id : ref.field().paramGroups()) {
-            const auto &a = ref.field().groupParams(id);
-            const auto &b = t.field().groupParams(id);
-            ASSERT_EQ(a.size(), b.size());
-            expectBitEqual(a.data(), b.data(), a.size(),
-                           "trainer params (threaded_sweep)");
-        }
-    }
 }
 
 TEST(KernelBackendTest, TrainerSimdMatchesScalarContract)
@@ -544,28 +430,26 @@ TEST(KernelBackendTest, TrainerSimdMatchesScalarContract)
 
 TEST(KernelBackendTest, SelectionAndEnvOverride)
 {
-    EXPECT_STREQ(createKernelBackend("scalar_ref", nullptr)->name(),
-                 "scalar_ref");
-    EXPECT_STREQ(createKernelBackend("simd", nullptr)->name(), "simd");
-    EXPECT_STREQ(createKernelBackend("threaded_sweep", nullptr)->name(),
-                 "threaded_sweep");
-
-    // auto: threaded_sweep only when the pool can actually fan out.
-    EXPECT_STREQ(createKernelBackend("auto", nullptr)->name(),
-                 "scalar_ref");
+    // simd is the default everywhere: a default-configured trainer and
+    // every class with no backend installed.
     {
-        ThreadPool serial(1);
-        EXPECT_STREQ(createKernelBackend("auto", &serial)->name(),
-                     "scalar_ref");
-        ThreadPool wide(4);
-        EXPECT_STREQ(createKernelBackend("auto", &wide)->name(),
-                     "threaded_sweep");
+        Dataset data = smallDataset();
+        Trainer t(data, smallField(), TrainConfig{});
+        EXPECT_STREQ(t.kernelBackendName(), "simd");
     }
+    EXPECT_STREQ(resolveBackend(nullptr).name(), "simd");
 
-    ::setenv("INSTANT3D_KERNEL_BACKEND", "simd", 1);
-    EXPECT_STREQ(createKernelBackend("scalar_ref", nullptr)->name(),
-                 "simd");
+    // scalar_ref runs only where it is installed by name, directly or
+    // through the environment override.
+    EXPECT_STREQ(createKernelBackend("scalar_ref")->name(), "scalar_ref");
+    ::setenv("INSTANT3D_KERNEL_BACKEND", "scalar_ref", 1);
+    EXPECT_STREQ(createKernelBackend("simd")->name(), "scalar_ref");
     ::unsetenv("INSTANT3D_KERNEL_BACKEND");
+
+    // The retired names are unknown names.
+    EXPECT_DEATH(createKernelBackend("auto"), "unknown kernel backend");
+    EXPECT_DEATH(createKernelBackend("threaded_sweep"),
+                 "unknown kernel backend");
 
     // Feature reporting is wired (content is host-specific).
     EXPECT_FALSE(cpuFeatureString().empty());
