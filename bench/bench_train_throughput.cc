@@ -10,10 +10,16 @@
  *    stream ("compacted") vs the same stream with the full-table-scan
  *    dense optimizer ("compacted+dense_opt", the sparse-optimizer
  *    regression baseline) vs the stream on the simd kernel backend
- *    ("compacted+simd"), at 1 and 8 threads. Every mode row carries a
- *    per-phase breakdown (march / forward / backward / reduce /
- *    optimizer / zero_grad / occ_refresh) so "which phase dominates"
- *    is tracked across PRs.
+ *    ("compacted+simd"), at 1 and 8 threads.
+ *
+ * Every mode row carries a per-phase breakdown (march / forward /
+ * backward / reduce / optimizer / zero_grad / occ_refresh) read from
+ * the trainer's train.phase.*_ms telemetry histograms: each phase's
+ * sample count and p50 ms over the row's timed iterations. The
+ * histograms are reset before each timed block and snapshotted after
+ * it, and the snapshots merge exactly across a mode's blocks. They
+ * record only while telemetry is on (INSTANT3D_TELEMETRY, default on),
+ * and the scalar reference path records none.
  *
  * The JSON records std::thread::hardware_concurrency() and each mode's
  * occupancy-grid occupied fraction, so flat thread scaling on a 1-core
@@ -26,6 +32,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,9 +45,41 @@
 #include "common/cpu_features.hh"
 #include "core/instant3d_config.hh"
 #include "kernels/kernel_backend.hh"
+#include "obs/telemetry.hh"
 
 namespace instant3d {
 namespace {
+
+/** The trainer's phase histograms, in the order the JSON lists them. */
+constexpr int numPhases = 7;
+const char *const phaseNames[numPhases] = {
+    "march",     "forward",   "backward",   "reduce",
+    "optimizer", "zero_grad", "occ_refresh"};
+
+using PhaseSnapshots = std::array<obs::HistogramSnapshot, numPhases>;
+
+obs::LatencyHistogram &
+phaseHistogram(int p)
+{
+    return obs::MetricsRegistry::global().histogram(
+        std::string("train.phase.") + phaseNames[p] + "_ms");
+}
+
+/** Start a timed block: drop every phase sample recorded so far. */
+void
+resetPhases()
+{
+    for (int p = 0; p < numPhases; p++)
+        phaseHistogram(p).reset();
+}
+
+/** End a timed block: merge its phase samples into `acc`. */
+void
+mergePhases(PhaseSnapshots &acc)
+{
+    for (int p = 0; p < numPhases; p++)
+        acc[p].merge(phaseHistogram(p).snapshot());
+}
 
 struct ModeResult
 {
@@ -56,7 +95,7 @@ struct ModeResult
     double occupiedFraction = 1.0;
     double sparseEntriesPerIter = 0.0; //!< Touched entries per step.
     double sparseActiveEntries = 0.0;  //!< Steady sweep-set size.
-    TrainPhaseTimes phases;      //!< Summed over the timed iterations.
+    PhaseSnapshots phases;       //!< Over the timed iterations.
 };
 
 struct Workload
@@ -151,7 +190,6 @@ modeConfig(const Workload &w, const ModeSpec &spec, bool use_occupancy)
     tcfg.scalarReference = spec.scalar;
     tcfg.sparseOptimizer = spec.sparseOpt;
     tcfg.kernelBackend = spec.backend;
-    tcfg.collectPhaseTimes = true;
     if (use_occupancy) {
         // Converge the grid during warmup: frequent refreshes and a
         // fast decay clear empty space within a few dozen iterations
@@ -166,18 +204,6 @@ modeConfig(const Workload &w, const ModeSpec &spec, bool use_occupancy)
     return tcfg;
 }
 
-void
-addPhases(TrainPhaseTimes &acc, const TrainPhaseTimes &p)
-{
-    acc.march += p.march;
-    acc.forward += p.forward;
-    acc.backward += p.backward;
-    acc.reduce += p.reduce;
-    acc.optimizer += p.optimizer;
-    acc.zeroGrad += p.zeroGrad;
-    acc.occRefresh += p.occRefresh;
-}
-
 /** One mode, no occupancy grid: a single timed run. */
 ModeResult
 runMode(const Workload &w, const ModeSpec &spec, int iters)
@@ -189,19 +215,17 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
     for (int i = 0; i < warmup; i++)
         trainer.trainIteration();
 
-    ModeResult acc;
+    ModeResult r;
     uint64_t points_before = trainer.totalPointsQueried();
     uint64_t sparse_stepped = 0;
+    resetPhases();
     double t0 = now();
-    for (int i = 0; i < iters; i++) {
-        TrainStats st = trainer.trainIteration();
-        addPhases(acc.phases, st.phases);
-        sparse_stepped += st.sparseEntriesStepped;
-    }
+    for (int i = 0; i < iters; i++)
+        sparse_stepped += trainer.trainIteration().sparseEntriesStepped;
     double secs = now() - t0;
+    mergePhases(r.phases);
     uint64_t points = trainer.totalPointsQueried() - points_before;
 
-    ModeResult r;
     r.mode = spec.name;
     r.backend = trainer.kernelBackendName();
     r.threads = spec.threads;
@@ -211,7 +235,6 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
         static_cast<double>(iters) * tcfg.raysPerBatch / secs;
     r.pointsPerSec = static_cast<double>(points) / secs;
     r.pointsPerSecEffective = r.raysPerSec * tcfg.samplesPerRay;
-    r.phases = acc.phases;
     r.sparseEntriesPerIter =
         static_cast<double>(sparse_stepped) / iters;
     r.sparseActiveEntries =
@@ -225,7 +248,8 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
  * and are timed in interleaved blocks, so machine drift hits every
  * mode equally; occupancy-refresh iterations (identical work in every
  * mode) are timed separately from hot-path iterations so the refresh
- * cost cannot drown the mode comparison.
+ * cost cannot drown the mode comparison. The phase histograms cover
+ * every timed iteration, refresh iterations included.
  */
 std::vector<ModeResult>
 runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
@@ -264,6 +288,7 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
         const int n = std::min(block, iters - done);
         for (size_t m = 0; m < specs.size(); m++) {
             Trainer &t = *trainers[m];
+            resetPhases();
             for (int i = 0; i < n; i++) {
                 const bool is_update = (t.iteration() % period) == 0;
                 double t0 = now();
@@ -271,18 +296,14 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
                 double dt = now() - t0;
                 if (is_update) {
                     results[m].updateSeconds += dt;
-                    // The refresh itself is the only phase credited to
-                    // update iterations; their training work is
-                    // excluded from the hot-path phase breakdown.
-                    results[m].phases.occRefresh += st.phases.occRefresh;
                 } else {
                     results[m].seconds += dt;
                     results[m].iterations++;
                     points[m] += st.pointsQueried;
-                    addPhases(results[m].phases, st.phases);
                     sparse_stepped[m] += st.sparseEntriesStepped;
                 }
             }
+            mergePhases(results[m].phases);
         }
     }
 
@@ -485,20 +506,25 @@ main(int argc, char **argv)
             "\"occupied_fraction\": %.4f, "
             "\"sparse_entries_per_iter\": %.1f, "
             "\"sparse_active_entries\": %.0f,\n"
-            "     \"phases\": {\"march\": %.4f, \"forward\": %.4f, "
-            "\"backward\": %.4f, \"reduce\": %.4f, "
-            "\"optimizer\": %.4f, \"zero_grad\": %.4f, "
-            "\"occ_refresh\": %.4f}}%s\n",
+            "     \"phases\": {",
             r.mode.c_str(), r.backend.c_str(), r.threads,
             r.iterations, r.seconds,
             r.updateSeconds, r.raysPerSec, r.pointsPerSec,
             r.pointsPerSecEffective, r.occupiedFraction,
             r.sparseEntriesPerIter,
-            r.sparseActiveEntries, r.phases.march,
-            r.phases.forward, r.phases.backward, r.phases.reduce,
-            r.phases.optimizer, r.phases.zeroGrad, r.phases.occRefresh,
-            i + 1 < results.size() ? "," : "");
+            r.sparseActiveEntries);
         json += buf;
+        for (int p = 0; p < numPhases; p++) {
+            std::snprintf(buf, sizeof(buf),
+                          "%s\"%s\": {\"count\": %llu, "
+                          "\"p50_ms\": %.4f}",
+                          p ? ", " : "", phaseNames[p],
+                          static_cast<unsigned long long>(
+                              r.phases[p].count),
+                          r.phases[p].percentile(50.0));
+            json += buf;
+        }
+        json += i + 1 < results.size() ? "}},\n" : "}}\n";
     }
     std::snprintf(buf, sizeof(buf),
                   "  ],\n"
@@ -508,13 +534,10 @@ main(int argc, char **argv)
                   "    \"sparse_vs_dense_optimizer\": %.3f,\n"
                   "    \"simd_vs_scalar_kernels\": %.3f,\n"
                   "    \"simd_backend_e2e_1t\": %.3f\n"
-                  "  },\n"
-                  "  \"speedup_batched_1t_vs_scalar\": %.3f,\n"
-                  "  \"speedup_batched_8t_vs_scalar\": %.3f\n"
+                  "  }\n"
                   "}\n",
                   speedup_1t, speedup_8t, sparse_vs_dense_opt,
-                  simd_vs_scalar_kernels, simd_e2e_1t, speedup_1t,
-                  speedup_8t);
+                  simd_vs_scalar_kernels, simd_e2e_1t);
     json += buf;
 
     std::fputs(json.c_str(), stdout);

@@ -51,20 +51,19 @@ awk -v s="$simd" 'BEGIN {
 # objects inside don't end the range early.
 sed -n '/"kernel_backends"/,/^  },/p' BENCH_train_throughput.json
 
-# Render-serving bench: trains two tiny scenes, measures the 1-worker
-# served throughput against the single-client renderImage baseline,
-# and records open-loop latency percentiles per quality tier.
+# Render-serving bench: trains one tiny scene and measures the three
+# serving ratio gates below. Serving latency under load is perfbench's
+# job; the serving completion properties (degradation, failover under
+# a shard crash, an overcommitted scene working set) are tier-1 tests.
 ./build/bench_serve BENCH_serve_latency.json
 
 echo "bench_smoke: wrote $(pwd)/BENCH_serve_latency.json"
-grep -o '"p50": [0-9.]*' BENCH_serve_latency.json | head -4
-grep -o '"rejected": [0-9]*' BENCH_serve_latency.json
 
-# Regression gate: cross-request tile batching must keep the served
-# pipeline within 10% of the single-client renderImage rate at one
-# worker (measured ~1.0x on the CI container; 0.9 is the hard floor --
-# below that the serving layer is eating its batching win in
-# scheduling overhead).
+# Regression gate: the served pipeline must stay within 10% of the
+# single-client renderImage rate at one worker (0.9 is the hard floor
+# -- below that the serving layer is eating its batching win in
+# scheduling overhead). The two arms run on strictly alternating
+# frames and compare minimum frame times, so host drift hits both.
 served=$(grep -o '"served_vs_renderImage_1t": [0-9.]*' \
              BENCH_serve_latency.json | awk '{print $2}')
 awk -v s="$served" 'BEGIN {
@@ -74,54 +73,8 @@ awk -v s="$served" 'BEGIN {
     }
     print "bench_smoke: served_vs_renderImage_1t=" s " (>= 0.9 ok)"
 }'
-
-# Regression gate: with QoS degradation enabled, the 96-request burst
-# against a 64-tile admission window must complete at least 90% of
-# requests at *some* tier instead of shedding them (measured 1.0 on
-# the CI container -- the degraded cap admits the whole burst).
-degraded=$(grep -o '"overload_degraded_completion": [0-9.]*' \
-               BENCH_serve_latency.json | awk '{print $2}')
-awk -v s="$degraded" 'BEGIN {
-    if (s == "" || s + 0 < 0.9) {
-        print "bench_smoke: FAIL overload_degraded_completion=" s " < 0.9"
-        exit 1
-    }
-    print "bench_smoke: overload_degraded_completion=" s " (>= 0.9 ok)"
-}'
-sed -n '/"overload_degraded"/,/^  },/p' BENCH_serve_latency.json
-
-# Regression gate: the sharded fleet must complete at least 90% of the
-# open-loop requests while a deterministic fault schedule crashes one
-# of its shards mid-run (measured 1.0 on the CI container -- with R=2
-# and failover every request survives a single shard loss).
-fleet=$(grep -o '"fleet_kill_completion": [0-9.]*' \
-            BENCH_serve_latency.json | awk '{print $2}')
-awk -v s="$fleet" 'BEGIN {
-    if (s == "" || s + 0 < 0.9) {
-        print "bench_smoke: FAIL fleet_kill_completion=" s " < 0.9"
-        exit 1
-    }
-    print "bench_smoke: fleet_kill_completion=" s " (>= 0.9 ok)"
-}'
-sed -n '/"fleet"/,/^  },/p' BENCH_serve_latency.json
-
-# Regression gate: with a scene working set 8x the registry byte
-# budget (120 scenes, room for 15), the eviction + cold-start-retry
-# machinery must still complete at least 90% of the offered open-loop
-# mix (measured 1.0 on the CI container). cold_start_p99_ms is
-# recorded alongside for trend-watching, not gated -- it tracks the
-# retry-round cadence more than the loader.
-capacity=$(grep -o '"capacity_completion": [0-9.]*' \
-               BENCH_serve_latency.json | awk '{print $2}')
-awk -v s="$capacity" 'BEGIN {
-    if (s == "" || s + 0 < 0.9) {
-        print "bench_smoke: FAIL capacity_completion=" s " < 0.9"
-        exit 1
-    }
-    print "bench_smoke: capacity_completion=" s " (>= 0.9 ok)"
-}'
-grep -o '"cold_start_p99_ms": [0-9.]*' BENCH_serve_latency.json
-sed -n '/"capacity"/,/^  },/p' BENCH_serve_latency.json
+grep -E '"(baseline_renderimage|served_closed_loop)_1t"' \
+    BENCH_serve_latency.json
 
 # Regression gate: the orbiting Preview viewer on the coarse 1/64
 # camera lattice must serve at least half its tiles from the
@@ -147,9 +100,11 @@ sed -n '/"orbit"/,/^  },/p' BENCH_serve_latency.json
 # cost at most 2% of closed-loop serving throughput against the same
 # path with recording disabled (measured ~0% on the CI container --
 # the disarmed/armed delta is a handful of relaxed atomics and a few
-# span appends per request). The block also records the mergeable
-# histogram's p50/p95/p99 against the exact tracker; within_one_bucket
-# asserts the documented fidelity bound.
+# span appends per request). The gated value is the median over
+# blocks of alternating enabled/disabled frames; each block's value
+# is recorded too. The block also records the mergeable histogram's
+# p50/p95/p99 against the exact tracker over every enabled frame;
+# within_one_bucket asserts the documented fidelity bound.
 grep -q '"telemetry"' BENCH_serve_latency.json || {
     echo "bench_smoke: FAIL telemetry block missing"
     exit 1

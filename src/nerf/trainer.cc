@@ -1,7 +1,6 @@
 #include "nerf/trainer.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -13,15 +12,11 @@ namespace instant3d {
 
 namespace {
 
-/** Monotonic seconds for the optional phase-time instrumentation. */
-double
-tick()
-{
-    return monotonicSeconds();
-}
-
 /** Per-phase latency histograms ("train.phase.*_ms"), resolved once;
- *  registry references are stable for the process lifetime. */
+ *  registry references are stable for the process lifetime. Each gets
+ *  one sample per stream-path iteration (occ_refresh: per refresh).
+ *  march/forward/backward sum over the iteration's chunks, so with
+ *  several threads they read as CPU time, not elapsed time. */
 struct PhaseHistograms
 {
     obs::LatencyHistogram *occRefresh, *march, *forward, *backward,
@@ -156,19 +151,13 @@ Trainer::trainIteration()
     // so real surfaces exist before anything is skipped). Serial, on
     // the trainer's own stream; refresh() amortizes via the partial
     // probe subset when the grid config enables it.
-    // Phase timing has two consumers: TrainStats::phases (opt-in via
-    // collectPhaseTimes, unchanged) and the train.phase.*_ms telemetry
-    // histograms (gated on obs::enabled()). Either one arms the
-    // clock reads.
-    const bool timed = cfg.collectPhaseTimes;
-    const bool phase_telem = obs::enabled();
-    const bool phased = timed || phase_telem;
+    // Each phase is timed into its train.phase.*_ms histogram, and
+    // only while telemetry is on: disabled, no clock is read.
+    const bool phased = obs::enabled();
     const PhaseHistograms &ph = phaseHistograms();
     if (occupancyPtr && iter > 0 &&
         iter % cfg.occupancyUpdatePeriod == 0) {
-        obs::ScopedTimer timer(
-            timed ? &stats.phases.occRefresh : nullptr,
-            phase_telem ? ph.occRefresh : nullptr);
+        obs::ScopedTimer timer(ph.occRefresh);
         occupancyPtr->refresh(*fieldPtr, rng);
     }
 
@@ -266,20 +255,20 @@ Trainer::trainIteration()
 
             // Step 3a: march against the occupancy grid; only the
             // surviving samples enter the stream.
-            double t0 = phased ? tick() : 0.0;
+            double t0 = phased ? monotonicSeconds() : 0.0;
             SampleStream stream;
             rendererPtr->marchRays(rays, per_stream, rngs, stream, ws);
 
             // Steps 3b-4: one field query over the stream + per-ray
             // compositing.
-            double t1 = phased ? tick() : 0.0;
+            double t1 = phased ? monotonicSeconds() : 0.0;
             StreamRecord srec;
             RayResult *results = ws.alloc<RayResult>(per_stream);
             rendererPtr->renderStream(*fieldPtr, stream, results, &srec,
                                       ws, trace);
             if (phased) {
                 chunkPhases[c].march += t1 - t0;
-                chunkPhases[c].forward += tick() - t1;
+                chunkPhases[c].forward += monotonicSeconds() - t1;
             }
 
             // Step 5: squared-error loss and dL/dC per ray.
@@ -292,12 +281,12 @@ Trainer::trainIteration()
             }
 
             // Step 6: stream backward into this chunk's shard.
-            double t2 = phased ? tick() : 0.0;
+            double t2 = phased ? monotonicSeconds() : 0.0;
             rendererPtr->backwardStream(
                 *fieldPtr, stream, srec, d_colors, stats.densityUpdated,
                 stats.colorUpdated, &shard, ws, trace);
             if (phased)
-                chunkPhases[c].backward += tick() - t2;
+                chunkPhases[c].backward += monotonicSeconds() - t2;
         }
         chunkLoss[c] = loss_acc;
     });
@@ -320,8 +309,7 @@ Trainer::trainIteration()
     // Deterministic reduction: shards in fixed chunk order.
     double loss_acc = 0.0;
     {
-        obs::ScopedTimer timer(timed ? &stats.phases.reduce : nullptr,
-                               phase_telem ? ph.reduce : nullptr);
+        obs::ScopedTimer timer(ph.reduce);
         for (int c = 0; c < num_chunks; c++) {
             fieldPtr->reduceGradients(shards[c]);
             loss_acc += chunkLoss[c];
@@ -331,9 +319,7 @@ Trainer::trainIteration()
     // Apply optimizer steps to the branches due this iteration: sparse
     // groups step only the dirty union the reduction just assembled.
     {
-        obs::ScopedTimer timer(
-            timed ? &stats.phases.optimizer : nullptr,
-            phase_telem ? ph.optimizer : nullptr);
+        obs::ScopedTimer timer(ph.optimizer);
         for (size_t g = 0; g < groups.size(); g++) {
             bool is_color = groups[g] == ParamGroupId::ColorGrid ||
                             groups[g] == ParamGroupId::ColorMlp;
@@ -361,9 +347,7 @@ Trainer::trainIteration()
     // O(touched) clear when every grid scatter went through a touch
     // list (the sparse optimizer's dirty union); full scan otherwise.
     {
-        obs::ScopedTimer timer(
-            timed ? &stats.phases.zeroGrad : nullptr,
-            phase_telem ? ph.zeroGrad : nullptr);
+        obs::ScopedTimer timer(ph.zeroGrad);
         if (sparseActive)
             fieldPtr->zeroGradDirty();
         else
@@ -377,16 +361,9 @@ Trainer::trainIteration()
             total.forward += p.forward;
             total.backward += p.backward;
         }
-        if (timed) {
-            stats.phases.march += total.march;
-            stats.phases.forward += total.forward;
-            stats.phases.backward += total.backward;
-        }
-        if (phase_telem) {
-            ph.march->record(total.march * 1e3);
-            ph.forward->record(total.forward * 1e3);
-            ph.backward->record(total.backward * 1e3);
-        }
+        ph.march->record(total.march * 1e3);
+        ph.forward->record(total.forward * 1e3);
+        ph.backward->record(total.backward * 1e3);
     }
 
     stats.loss = loss_acc / cfg.raysPerBatch;

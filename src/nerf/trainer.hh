@@ -106,31 +106,7 @@ struct TrainConfig
      */
     std::string kernelBackend = "simd";
 
-    /**
-     * Record a wall-time breakdown of each iteration's phases into
-     * TrainStats::phases (bench instrumentation; off by default to
-     * keep clock reads out of the hot path). Worker-chunk phases are
-     * summed across chunks, so with multiple threads the breakdown
-     * reads as CPU time, not elapsed time.
-     */
-    bool collectPhaseTimes = false;
-
     uint64_t seed = 42;
-};
-
-/**
- * Per-phase seconds of one training iteration
- * (TrainConfig::collectPhaseTimes).
- */
-struct TrainPhaseTimes
-{
-    double march = 0.0;     //!< Occupancy march + sample-stream build.
-    double forward = 0.0;   //!< Grid encodes + MLP forwards + compositing.
-    double backward = 0.0;  //!< Loss backward into the gradient shards.
-    double reduce = 0.0;    //!< Shard reduction into the field.
-    double optimizer = 0.0; //!< Adam steps of the due groups.
-    double zeroGrad = 0.0;  //!< Gradient clearing.
-    double occRefresh = 0.0; //!< Occupancy-grid refresh (when due).
 };
 
 /** Per-iteration statistics returned by trainIteration(). */
@@ -147,9 +123,6 @@ struct TrainStats
      * the sparse path pays instead of the full table scan.
      */
     uint64_t sparseEntriesStepped = 0;
-
-    /** Phase breakdown (zeros unless collectPhaseTimes). */
-    TrainPhaseTimes phases;
 };
 
 /**

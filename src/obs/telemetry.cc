@@ -365,22 +365,17 @@ MetricsSnapshot::json() const
 
 // ------------------------------------------------------ scoped timer
 
-ScopedTimer::ScopedTimer(double *accum_seconds, LatencyHistogram *hist)
-    : accum(accum_seconds), histogram(hist)
+ScopedTimer::ScopedTimer(LatencyHistogram *hist)
+    : histogram(enabled() ? hist : nullptr)
 {
-    if (accum || histogram)
+    if (histogram)
         t0 = monotonicSeconds();
 }
 
 ScopedTimer::~ScopedTimer()
 {
-    if (!accum && !histogram)
-        return;
-    const double dt = monotonicSeconds() - t0;
-    if (accum)
-        *accum += dt;
     if (histogram)
-        histogram->record(dt * 1e3);
+        histogram->record((monotonicSeconds() - t0) * 1e3);
 }
 
 } // namespace obs

@@ -285,24 +285,20 @@ class MetricsRegistry
 };
 
 /**
- * RAII phase timer: on destruction adds the elapsed seconds to
- * `*accum_seconds` (when non-null) and records the elapsed
- * milliseconds into `*hist` (when non-null and telemetry is enabled).
- * Passing two nullptrs makes it free: the clock is only read when at
- * least one sink wants the result.
+ * RAII phase timer: on destruction records the elapsed milliseconds
+ * into `*hist`. It is free when `hist` is null or telemetry is off at
+ * construction: the clock is only read when the sample will be kept.
  */
 class ScopedTimer
 {
   public:
-    explicit ScopedTimer(double *accum_seconds,
-                         LatencyHistogram *hist = nullptr);
+    explicit ScopedTimer(LatencyHistogram *hist);
     ~ScopedTimer();
 
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    double *accum;
     LatencyHistogram *histogram;
     double t0 = 0.0;
 };

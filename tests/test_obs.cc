@@ -214,26 +214,24 @@ TEST(MetricsRegistryTest, ExportCarriesMetricsAndCollectors)
     EXPECT_EQ(after.counters.count("obs_test.collected"), 0u);
 }
 
-TEST(ScopedTimerTest, FeedsAccumulatorAndHistogram)
+TEST(ScopedTimerTest, FeedsHistogram)
 {
     TelemetryGuard guard;
     obs::setEnabled(true);
 
-    double accum = 0.0;
     obs::LatencyHistogram hist;
     {
-        obs::ScopedTimer timer(&accum, &hist);
+        obs::ScopedTimer timer(&hist);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_GT(accum, 0.0);
     EXPECT_EQ(hist.snapshot().count, 1u);
 
-    // Null/null is a no-op (the free disarmed path).
+    // A null histogram is a no-op (the free disarmed path).
     {
-        obs::ScopedTimer timer(nullptr, nullptr);
+        obs::ScopedTimer timer(nullptr);
     }
     {
-        obs::ScopedTimer timer(nullptr, &hist);
+        obs::ScopedTimer timer(&hist);
     }
     EXPECT_EQ(hist.snapshot().count, 2u);
 }
@@ -543,6 +541,56 @@ TEST_F(ObsServeTest, ServiceCollectorMirrorsServeStats)
     // The shared latency histograms saw this request.
     EXPECT_GE(snap.histograms.at("serve.total_ms").count, 1u);
     EXPECT_GE(snap.histograms.at("serve.queue_ms").count, 1u);
+}
+
+// ------------------------------------------------- training phases
+
+/**
+ * The train.phase.*_ms histograms are the trainer's one phase timer:
+ * each stream-path iteration adds one sample per phase, each
+ * occupancy refresh one occ_refresh sample, and a disabled iteration
+ * none. The registry is process-wide, so counts are compared before
+ * and after.
+ */
+TEST(TrainPhaseHistogramTest, EachPhaseRecordsOncePerIteration)
+{
+    TelemetryGuard guard;
+    obs::setEnabled(true);
+
+    auto &reg = obs::MetricsRegistry::global();
+    auto count = [&](const std::string &phase) {
+        return reg.histogram("train.phase." + phase + "_ms")
+            .snapshot()
+            .count;
+    };
+    const std::vector<std::string> phases = {
+        "march",     "forward",   "backward", "reduce",
+        "optimizer", "zero_grad", "occ_refresh"};
+    auto counts = [&] {
+        std::vector<uint64_t> out;
+        for (const auto &p : phases)
+            out.push_back(count(p));
+        return out;
+    };
+
+    Dataset data = tinyDataset("lego");
+    TrainConfig tcfg = tinyTrain();
+    tcfg.useOccupancyGrid = true;
+    tcfg.occupancyUpdatePeriod = 8;
+    Trainer trainer(data, tinyField(), tcfg);
+
+    const std::vector<uint64_t> before = counts();
+    for (int i = 0; i < 17; i++)
+        trainer.trainIteration();
+    const std::vector<uint64_t> after = counts();
+    for (size_t p = 0; p + 1 < phases.size(); p++)
+        EXPECT_EQ(after[p] - before[p], 17u) << phases[p];
+    // Refreshes run at iterations 8 and 16, never at 0.
+    EXPECT_EQ(after.back() - before.back(), 2u);
+
+    obs::setEnabled(false);
+    trainer.trainIteration();
+    EXPECT_EQ(counts(), after);
 }
 
 #endif // INSTANT3D_DISABLE_TELEMETRY

@@ -2,8 +2,9 @@
  * @file
  * Capacity tests for the memory-budgeted SceneRegistry: LRU eviction
  * to cold stubs, shared_ptr drain of in-flight renders, single-flight
- * cold-start reloads, quarantine of structurally-bad checkpoints, and
- * the ColdStart contract at the RenderService boundary.
+ * cold-start reloads, quarantine of structurally-bad checkpoints,
+ * the ColdStart contract at the RenderService boundary, and a scene
+ * working set 8x the budget served without a failed request.
  *
  * The load-bearing invariants: eviction never drops an in-flight
  * render, a reload republishes under the *same* generation with
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/fault_injection.hh"
+#include "common/rng.hh"
 #include "nerf/serialize.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
@@ -558,6 +560,64 @@ TEST_F(RegistryCapacityTest, ServiceReportsColdStartAndRenderRecovers)
     RenderResponse warm = service.render(req);
     ASSERT_EQ(warm.status, RequestStatus::Ok);
     expectImagesEqual(warm.image, expect);
+}
+
+/**
+ * A scene working set 8x the byte budget (40 scenes, room for 5)
+ * served through the eviction and cold-start machinery. One client
+ * sends a seeded mix, 70% of it on 5 hot scenes, so no request can
+ * lose its reloaded scene to another client's traffic and the outcome
+ * does not depend on timing: every request is served, Full pixels
+ * stay bit-identical, and each ColdStart answer costs exactly one
+ * reload.
+ */
+TEST_F(RegistryCapacityTest, OvercommittedWorkingSetServesEveryRequest)
+{
+    FaultGuard guard;
+    constexpr int scenes = 40, budget_scenes = 5, hot = 5;
+    constexpr int requests = 30;
+
+    SceneRegistryConfig rcfg;
+    rcfg.memoryBudgetBytes = budget_scenes * sceneBytes();
+    SceneRegistry registry(rcfg);
+    std::vector<std::string> ids;
+    for (int i = 0; i < scenes; i++) {
+        ids.push_back("s" + std::to_string(i));
+        ASSERT_GT(registry.registerFromCheckpoint(ids.back(), spec(),
+                                                  ckptPath),
+                  0u);
+    }
+
+    RenderServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.cacheTiles = 0;
+    RenderService service(registry, cfg);
+
+    CameraSpec cams[2] = {latticeCamera(), latticeCamera()};
+    cams[1].eye = {0.5f, 1.25f, 1.0f};
+    const Image expect[2] = {trainer->renderImage(cams[0].makeCamera()),
+                             trainer->renderImage(cams[1].makeCamera())};
+
+    Rng mix(4242);
+    for (int i = 0; i < requests; i++) {
+        RenderRequest req;
+        req.sceneId = ids[mix.nextU32(10) < 7 ? mix.nextU32(hot)
+                                              : mix.nextU32(scenes)];
+        const int view = static_cast<int>(mix.nextU32(2));
+        req.camera = cams[view];
+        req.quality = static_cast<QualityTier>(
+            mix.nextU32(numQualityTiers));
+        RenderResponse resp = service.render(req);
+        ASSERT_EQ(resp.status, RequestStatus::Ok) << "request " << i;
+        ASSERT_EQ(resp.servedQuality, req.quality) << "request " << i;
+        if (req.quality == QualityTier::Full)
+            expectImagesEqual(resp.image, expect[view]);
+    }
+
+    SceneRegistryStats st = registry.stats();
+    EXPECT_GT(st.reloads, 0u);
+    EXPECT_EQ(st.reloads, service.stats().requestsColdStart);
+    EXPECT_LE(st.bytesWarm, rcfg.memoryBudgetBytes);
 }
 
 } // namespace
