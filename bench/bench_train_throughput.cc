@@ -4,8 +4,8 @@
  * points/s for one training iteration of the quickstart workload.
  *
  * Two mode families are timed:
- *  - No occupancy grid: the original scalar reference path vs the
- *    batched sample-stream path at 1, 2, 4, and 8 threads.
+ *  - No occupancy grid: the sample-stream path ("batched") at 1, 2, 4,
+ *    and 8 threads.
  *  - With a converged occupancy grid: the chunk-level compacted sample
  *    stream ("compacted") vs the same stream with the full-table-scan
  *    dense optimizer ("compacted+dense_opt", the sparse-optimizer
@@ -18,8 +18,7 @@
  * sample count and p50 ms over the row's timed iterations. The
  * histograms are reset before each timed block and snapshotted after
  * it, and the snapshots merge exactly across a mode's blocks. They
- * record only while telemetry is on (INSTANT3D_TELEMETRY, default on),
- * and the scalar reference path records none.
+ * record only while telemetry is on (INSTANT3D_TELEMETRY, default on).
  *
  * The JSON records std::thread::hardware_concurrency() and each mode's
  * occupancy-grid occupied fraction, so flat thread scaling on a 1-core
@@ -172,7 +171,6 @@ struct ModeSpec
 {
     std::string name;
     int threads = 1;
-    bool scalar = false;
     bool sparseOpt = true; //!< The new default; false = dense Adam.
     /**
      * Kernel backend of the run. The historical rows pin scalar_ref
@@ -187,7 +185,6 @@ modeConfig(const Workload &w, const ModeSpec &spec, bool use_occupancy)
 {
     TrainConfig tcfg = w.train;
     tcfg.numThreads = spec.threads;
-    tcfg.scalarReference = spec.scalar;
     tcfg.sparseOptimizer = spec.sparseOpt;
     tcfg.kernelBackend = spec.backend;
     if (use_occupancy) {
@@ -401,19 +398,18 @@ main(int argc, char **argv)
 
     Workload w = quickstartWorkload();
 
-    // Auto-calibrate so the scalar baseline runs ~1.5 s when no
+    // Auto-calibrate so the 1-thread batched row runs ~1 s when no
     // iteration count is given.
     if (iters <= 0) {
-        TrainConfig probe_cfg = w.train;
-        probe_cfg.scalarReference = true;
-        Trainer probe(w.dataset, w.field, probe_cfg);
+        Trainer probe(w.dataset, w.field,
+                      modeConfig(w, {"batched", 1}, false));
         probe.trainIteration(); // warm caches
         double t0 = now();
         const int probe_iters = 5;
         for (int i = 0; i < probe_iters; i++)
             probe.trainIteration();
         double per_iter = (now() - t0) / probe_iters;
-        iters = static_cast<int>(1.5 / per_iter);
+        iters = static_cast<int>(1.0 / per_iter);
         if (iters < 20)
             iters = 20;
         if (iters > 2000)
@@ -421,10 +417,8 @@ main(int argc, char **argv)
     }
 
     std::vector<ModeResult> results;
-    results.push_back(runMode(w, {"scalar_seed", 1, true, false}, iters));
     for (int threads : {1, 2, 4, 8})
-        results.push_back(
-            runMode(w, {"batched", threads, false, true}, iters));
+        results.push_back(runMode(w, {"batched", threads}, iters));
     // Converged-grid iterations are ~10x cheaper than dense ones, so
     // run more of them for a stable mode comparison. All modes except
     // "+dense_opt" step the grids with the sparse lazy optimizer (the
@@ -435,10 +429,10 @@ main(int argc, char **argv)
     Workload occ_w = occupancyWorkload();
     for (int threads : {1, 8}) {
         std::vector<ModeSpec> occ_specs = {
-            {"compacted", threads, false, true},
-            {"compacted+dense_opt", threads, false, false},
+            {"compacted", threads},
+            {"compacted+dense_opt", threads, false},
             // Same compacted pipeline on the fast kernel backend.
-            {"compacted+simd", threads, false, true, "simd"},
+            {"compacted+simd", threads, true, "simd"},
         };
         for (auto &r : runOccupancyFamily(occ_w, occ_specs, occ_iters))
             results.push_back(r);
@@ -455,11 +449,6 @@ main(int argc, char **argv)
     std::string default_backend =
         createKernelBackend(TrainConfig{}.kernelBackend)->name();
 
-    const ModeResult &scalar = results.front();
-    double speedup_1t =
-        find(results, "batched", 1).raysPerSec / scalar.raysPerSec;
-    double speedup_8t =
-        find(results, "batched", 8).raysPerSec / scalar.raysPerSec;
     double sparse_vs_dense_opt =
         find(results, "compacted", 1).raysPerSec /
         find(results, "compacted+dense_opt", 1).raysPerSec;
@@ -529,15 +518,13 @@ main(int argc, char **argv)
     std::snprintf(buf, sizeof(buf),
                   "  ],\n"
                   "  \"speedups\": {\n"
-                  "    \"batched_1t_vs_scalar\": %.3f,\n"
-                  "    \"batched_8t_vs_scalar\": %.3f,\n"
                   "    \"sparse_vs_dense_optimizer\": %.3f,\n"
                   "    \"simd_vs_scalar_kernels\": %.3f,\n"
                   "    \"simd_backend_e2e_1t\": %.3f\n"
                   "  }\n"
                   "}\n",
-                  speedup_1t, speedup_8t, sparse_vs_dense_opt,
-                  simd_vs_scalar_kernels, simd_e2e_1t);
+                  sparse_vs_dense_opt, simd_vs_scalar_kernels,
+                  simd_e2e_1t);
     json += buf;
 
     std::fputs(json.c_str(), stdout);

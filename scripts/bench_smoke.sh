@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j --target bench_train_throughput bench_serve
 
-# No explicit iteration count: the bench auto-calibrates to ~1.5 s of
-# scalar-baseline work, so the whole run stays in the seconds range.
+# No explicit iteration count: the bench auto-calibrates on the
+# 1-thread batched row, so the whole run stays in the seconds range.
 ./build/bench_train_throughput BENCH_train_throughput.json
 
 echo "bench_smoke: wrote $(pwd)/BENCH_train_throughput.json"

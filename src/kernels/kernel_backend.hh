@@ -13,8 +13,8 @@
  *    verbatim. Bit-identical to the historical hot path by
  *    construction; the determinism contract (README "Hot-path
  *    architecture") is stated against this backend. It runs only where
- *    something installs it by name: the scalarReference trainer, tests
- *    and bench rows.
+ *    something installs it by name: tests, bench rows, or a trainer
+ *    whose TrainConfig::kernelBackend names it.
  *
  *  - simd ("simd"), the default: the same kernels restructured so that
  *    every floating-point accumulation chain keeps the scalar order

@@ -272,17 +272,16 @@ NerfField::backward(const FieldRecord &rec, float d_sigma,
 void
 NerfField::queryBatch(const Vec3 *pts, int n, const Vec3 &d,
                       FieldSample *out, FieldBatchRecord *rec,
-                      Workspace &ws, const FieldTraceOverride *trace)
+                      Workspace &ws)
 {
     RaySpan span{0, n};
-    queryStream(pts, n, &span, &d, 1, out, rec, ws, trace);
+    queryStream(pts, n, &span, &d, 1, out, rec, ws);
 }
 
 void
 NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
                        const Vec3 *dirs, int numRays, FieldSample *out,
-                       FieldBatchRecord *rec, Workspace &ws,
-                       const FieldTraceOverride *trace)
+                       FieldBatchRecord *rec, Workspace &ws)
 {
     if (n <= 0)
         return;
@@ -303,16 +302,13 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
 
     if (rec)
         rec->n = n;
-    TraceSink *dsink = trace ? trace->density : nullptr;
-    TraceSink *csink = trace ? trace->color : nullptr;
 
     if (cfg.mode == FieldMode::Decoupled) {
         const int ddim = densityGridPtr->outputDim();
         float *dens_feat =
             ws.alloc<float>(static_cast<size_t>(n) * ddim);
         densityGridPtr->encodeBatch(pts, n, dens_feat,
-                                    rec ? &rec->densityEnc : nullptr,
-                                    ws, dsink);
+                                    rec ? &rec->densityEnc : nullptr, ws);
         float *raw = ws.alloc<float>(n);
         densityMlpPtr->forwardBatch(dens_feat, n, raw,
                                     rec ? &rec->densityMlp : nullptr,
@@ -322,8 +318,7 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
         float *col_feat =
             ws.alloc<float>(static_cast<size_t>(n) * cdim);
         colorGridPtr->encodeBatch(pts, n, col_feat,
-                                  rec ? &rec->colorEnc : nullptr, ws,
-                                  csink);
+                                  rec ? &rec->colorEnc : nullptr, ws);
 
         const int cin = cdim + dirEncodingDim;
         float *col_in = ws.alloc<float>(static_cast<size_t>(n) * cin);
@@ -366,8 +361,7 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
         }
     } else {
         densityGridPtr->encodeBatch(pts, n, trunk_in,
-                                    rec ? &rec->densityEnc : nullptr,
-                                    ws, dsink);
+                                    rec ? &rec->densityEnc : nullptr, ws);
     }
 
     const int odim = 1 + cfg.geoFeatureDim;
@@ -408,8 +402,7 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                           int numRays, const float *d_sigma,
                           const Vec3 *d_rgb, const uint8_t *skip,
                           bool update_density, bool update_color,
-                          FieldGradients *target, Workspace &ws,
-                          const FieldTraceOverride *trace)
+                          FieldGradients *target, Workspace &ws)
 {
     // Rays ascending, samples descending within each span.
     int *order = ws.alloc<int>(rec.n);
@@ -418,21 +411,6 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
         for (int s = spans[r].offset + spans[r].count - 1;
              s >= spans[r].offset; s--)
             order[count++] = s;
-
-    backwardSamples(rec, order, count, d_sigma, d_rgb, skip,
-                    update_density, update_color, target, ws, trace);
-}
-
-void
-NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
-                           int count, const float *d_sigma,
-                           const Vec3 *d_rgb, const uint8_t *skip,
-                           bool update_density, bool update_color,
-                           FieldGradients *target, Workspace &ws,
-                           const FieldTraceOverride *trace)
-{
-    TraceSink *dsink = trace ? trace->density : nullptr;
-    TraceSink *csink = trace ? trace->color : nullptr;
 
     float *g_dmlp = target ? target->densityMlp.v.data()
                            : densityMlpPtr->grads().data();
@@ -460,7 +438,7 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
                 colorMlpPtr->backwardSample(rec.colorMlp, s, d_rgb_arr,
                                             d_col_in, g_cmlp, ws);
                 colorGridPtr->backwardSample(rec.colorEnc, s, d_col_in,
-                                             g_cgrid, t_cgrid, csink);
+                                             g_cgrid, t_cgrid);
             }
             if (update_density) {
                 float d_raw =
@@ -468,7 +446,7 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
                 densityMlpPtr->backwardSample(rec.densityMlp, s, &d_raw,
                                               d_feat, g_dmlp, ws);
                 densityGridPtr->backwardSample(rec.densityEnc, s, d_feat,
-                                               g_dgrid, t_dgrid, dsink);
+                                               g_dgrid, t_dgrid);
             }
         }
         return;
@@ -514,7 +492,7 @@ NerfField::backwardSamples(const FieldBatchRecord &rec, const int *order,
                                               d_dens_out, d_feat,
                                               g_dmlp, ws);
                 densityGridPtr->backwardSample(rec.densityEnc, s, d_feat,
-                                               g_dgrid, t_dgrid, dsink);
+                                               g_dgrid, t_dgrid);
             }
         }
     }

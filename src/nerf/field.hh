@@ -119,18 +119,6 @@ struct FieldBatchRecord
 };
 
 /**
- * Per-call trace redirection for the stream path: when a worker
- * thread processes a chunk of rays, grid accesses go to these
- * per-thread sinks and are merged in ray order afterwards. nullptr
- * members fall back to the sink attached to the respective grid.
- */
-struct FieldTraceOverride
-{
-    TraceSink *density = nullptr;
-    TraceSink *color = nullptr;
-};
-
-/**
  * One ray's slice of a chunk-level compacted sample stream: samples
  * [offset, offset + count) of the flat SoA buffers belong to this ray.
  */
@@ -209,13 +197,11 @@ class NerfField
      * grid encode and MLP runs over the whole batch -- with all scratch
      * from ws. Per-sample results are bit-identical to query().
      *
-     * Thread-safe for concurrent calls when `trace` redirects to
-     * per-thread sinks (or no sink is attached).
+     * Thread-safe for concurrent calls while no trace sink is attached.
      */
     void queryBatch(const Vec3 *pts, int n, const Vec3 &d,
                     FieldSample *out, FieldBatchRecord *rec,
-                    Workspace &ws,
-                    const FieldTraceOverride *trace = nullptr);
+                    Workspace &ws);
 
     /**
      * Batched query of a compacted multi-ray sample stream: n points
@@ -228,8 +214,7 @@ class NerfField
      */
     void queryStream(const Vec3 *pts, int n, const RaySpan *spans,
                      const Vec3 *dirs, int numRays, FieldSample *out,
-                     FieldBatchRecord *rec, Workspace &ws,
-                     const FieldTraceOverride *trace = nullptr);
+                     FieldBatchRecord *rec, Workspace &ws);
 
     /**
      * Backward over a compacted multi-ray stream recorded by
@@ -248,8 +233,7 @@ class NerfField
                         int numRays, const float *d_sigma,
                         const Vec3 *d_rgb, const uint8_t *skip,
                         bool update_density, bool update_color,
-                        FieldGradients *target, Workspace &ws,
-                        const FieldTraceOverride *trace = nullptr);
+                        FieldGradients *target, Workspace &ws);
 
     /**
      * Size `g` to this field's parameter groups and clear it for a new
@@ -342,17 +326,6 @@ class NerfField
     { return queries.load(std::memory_order_relaxed); }
 
   private:
-    /**
-     * Batched-backward kernel of backwardStream: propagate the samples
-     * listed in `order` (skipping flagged ones) in that exact sequence.
-     */
-    void backwardSamples(const FieldBatchRecord &rec, const int *order,
-                         int count, const float *d_sigma,
-                         const Vec3 *d_rgb, const uint8_t *skip,
-                         bool update_density, bool update_color,
-                         FieldGradients *target, Workspace &ws,
-                         const FieldTraceOverride *trace);
-
     /**
      * One grid group's dirty-entry set: the unique touched entries plus
      * a membership bitmap (cache-resident: one bit per table entry) for

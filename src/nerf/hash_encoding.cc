@@ -172,12 +172,9 @@ HashEncoding::encode(const Vec3 &p, float *out, EncodeRecord *rec)
 
 void
 HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
-                          EncodeBatchRecord *rec, Workspace &ws,
-                          TraceSink *sink)
+                          EncodeBatchRecord *rec, Workspace &ws)
 {
     const size_t slots = static_cast<size_t>(cfg.numLevels) * 8;
-    if (sink == nullptr)
-        sink = traceSink;
 
     const uint32_t base =
         nextPointId.fetch_add(static_cast<uint32_t>(n),
@@ -193,7 +190,7 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
         const int dim = outputDim();
         for (int s = 0; s < n; s++) {
             encodeOne(pts[s], out + static_cast<size_t>(s) * dim,
-                      nullptr, nullptr, sink,
+                      nullptr, nullptr, traceSink,
                       base + static_cast<uint32_t>(s));
         }
         return;
@@ -212,8 +209,8 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
 
     for (int s = 0; s < n; s++) {
         encodeCorners(pts[s], addr_slots + static_cast<size_t>(s) * slots,
-                      weight_slots + static_cast<size_t>(s) * slots, sink,
-                      base + static_cast<uint32_t>(s));
+                      weight_slots + static_cast<size_t>(s) * slots,
+                      traceSink, base + static_cast<uint32_t>(s));
     }
     resolveBackend(kernelBackend)
         .hashInterpBatch(table.data(), addr_slots, weight_slots, n,
@@ -270,27 +267,14 @@ HashEncoding::backward(const EncodeRecord &rec, const float *d_out)
 void
 HashEncoding::backwardSample(const EncodeBatchRecord &rec, int s,
                              const float *d_out, float *grad,
-                             std::vector<uint32_t> *touched,
-                             TraceSink *sink)
+                             std::vector<uint32_t> *touched)
 {
     panicIf(s < 0 || s >= rec.n, "sample index outside batch record");
     const size_t slots = static_cast<size_t>(cfg.numLevels) * 8;
     writes.fetch_add(slots, std::memory_order_relaxed);
     backwardOne(rec.addresses + static_cast<size_t>(s) * slots,
                 rec.weights + static_cast<size_t>(s) * slots, d_out,
-                grad, touched, sink ? sink : traceSink);
-}
-
-void
-HashEncoding::backwardBatch(const EncodeBatchRecord &rec,
-                            const float *d_out, float *grad,
-                            std::vector<uint32_t> *touched,
-                            TraceSink *sink)
-{
-    const int dim = outputDim();
-    for (int s = 0; s < rec.n; s++)
-        backwardSample(rec, s, d_out + static_cast<size_t>(s) * dim,
-                       grad, touched, sink);
+                grad, touched, traceSink);
 }
 
 void

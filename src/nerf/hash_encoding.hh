@@ -115,17 +115,15 @@ class HashEncoding
      * counter totals are identical to calling encode() n times.
      *
      * Thread safety: concurrent encodeBatch calls on one encoding are
-     * safe (counters are atomic); pass `sink` to redirect trace records
-     * to a per-thread buffer (nullptr uses the attached sink, which is
-     * only safe single-threaded).
+     * safe (counters are atomic) while no trace sink is attached; a
+     * sink receives records from the calling thread, so traced encodes
+     * must run on one thread.
      *
      * @param rec   If non-null, filled with arena-backed buffers for a
-     *              later backwardSample()/backwardBatch().
-     * @param sink  Per-call trace sink override.
+     *              later backwardSample().
      */
     void encodeBatch(const Vec3 *pts, int n, float *out,
-                     EncodeBatchRecord *rec, Workspace &ws,
-                     TraceSink *sink = nullptr);
+                     EncodeBatchRecord *rec, Workspace &ws);
 
     /**
      * Backward of sample s from a batch record into an external
@@ -133,18 +131,11 @@ class HashEncoding
      * offset of every touched entry to `touched` when non-null (entries
      * span featuresPerEntry consecutive floats) -- the sparse touch
      * list lets the trainer reduce per-thread gradient shards without
-     * scanning whole tables. Trace records go to `sink` (nullptr = the
-     * attached sink).
+     * scanning whole tables. Trace records go to the attached sink.
      */
     void backwardSample(const EncodeBatchRecord &rec, int s,
                         const float *d_out, float *grad,
-                        std::vector<uint32_t> *touched,
-                        TraceSink *sink = nullptr);
-
-    /** Batch backward in ascending sample order; d_out is sample-major. */
-    void backwardBatch(const EncodeBatchRecord &rec, const float *d_out,
-                       float *grad, std::vector<uint32_t> *touched,
-                       TraceSink *sink = nullptr);
+                        std::vector<uint32_t> *touched);
 
     /** Trainable parameters, length numLevels * T * F. */
     std::vector<float> &params() { return table; }
@@ -186,10 +177,6 @@ class HashEncoding
     { return reads.load(std::memory_order_relaxed); }
     uint64_t writeCount() const
     { return writes.load(std::memory_order_relaxed); }
-
-    /** Next point id to be assigned (deterministic between batches). */
-    uint32_t pointIdCounter() const
-    { return nextPointId.load(std::memory_order_relaxed); }
 
     /**
      * Route the batched kernels (encodeBatch interpolation, untraced

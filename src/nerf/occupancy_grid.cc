@@ -50,6 +50,8 @@ OccupancyGrid::OccupancyGrid(const OccupancyGridConfig &config)
             "occupancy decay must be in (0, 1)");
     fatalIf(cfg.candidateFraction < 0.0f || cfg.candidateFraction > 1.0f,
             "candidate fraction must be in [0, 1]");
+    fatalIf(cfg.samplesPerCellUpdate < 1,
+            "occupancy grid needs samplesPerCellUpdate >= 1");
     size_t n = static_cast<size_t>(cfg.resolution) * cfg.resolution *
                cfg.resolution;
     // Start optimistic: everything might contain matter.
@@ -82,13 +84,6 @@ OccupancyGrid::occupiedFraction() const
         if (d >= cfg.occupancyThreshold)
             n++;
     return static_cast<double>(n) / static_cast<double>(density.size());
-}
-
-void
-OccupancyGrid::markAllOccupied()
-{
-    std::fill(density.begin(), density.end(),
-              cfg.occupancyThreshold * 2.0f);
 }
 
 void

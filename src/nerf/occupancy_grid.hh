@@ -30,7 +30,8 @@ struct OccupancyGridConfig
     int resolution = 32;         //!< Cells per axis over [0,1]^3.
     float decay = 0.95f;         //!< Per-update density EMA decay.
     float occupancyThreshold = 0.5f; //!< Density above this = occupied.
-    int samplesPerCellUpdate = 1;    //!< Random probes per cell/update.
+    int samplesPerCellUpdate = 1;    //!< Random probes per cell/update
+                                     //!< (>= 1).
 
     /**
      * Amortized refresh (Instant-NGP-style): refresh() re-probes only
@@ -102,12 +103,6 @@ class OccupancyGrid
      * cfg.partialUpdate is set, else the full-sweep update().
      */
     void refresh(NerfField &field, Rng &rng);
-
-    /**
-     * Mark every cell occupied (the safe initial state: nothing is
-     * skipped until evidence accumulates).
-     */
-    void markAllOccupied();
 
     /** Direct density estimate of a cell (testing/inspection). */
     float cellDensity(size_t index) const { return density.at(index); }

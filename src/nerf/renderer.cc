@@ -109,14 +109,12 @@ VolumeRenderer::marchRays(const Ray *rays, int numRays, Rng *rngs,
 void
 VolumeRenderer::renderStream(NerfField &field, const SampleStream &stream,
                              RayResult *results, StreamRecord *rec,
-                             Workspace &ws,
-                             const FieldTraceOverride *trace) const
+                             Workspace &ws) const
 {
     const int total = stream.totalSamples;
     FieldSample *fs = ws.alloc<FieldSample>(total);
     field.queryStream(stream.pts, total, stream.spans, stream.dirs,
-                      stream.numRays, fs, rec ? &rec->field : nullptr,
-                      ws, trace);
+                      stream.numRays, fs, rec ? &rec->field : nullptr, ws);
 
     if (rec) {
         rec->alpha = ws.alloc<float>(total);
@@ -141,8 +139,7 @@ VolumeRenderer::backwardStream(NerfField &field,
                                const StreamRecord &rec,
                                const Vec3 *d_colors, bool update_density,
                                bool update_color, FieldGradients *target,
-                               Workspace &ws,
-                               const FieldTraceOverride *trace) const
+                               Workspace &ws) const
 {
     const int total = stream.totalSamples;
     float *d_sigma = ws.alloc<float>(total);
@@ -162,7 +159,7 @@ VolumeRenderer::backwardStream(NerfField &field,
 
     field.backwardStream(rec.field, stream.spans, stream.numRays,
                          d_sigma, d_rgb, skip, update_density,
-                         update_color, target, ws, trace);
+                         update_color, target, ws);
 }
 
 RayResult

@@ -200,8 +200,7 @@ class VolumeRenderer
      */
     void renderStream(NerfField &field, const SampleStream &stream,
                       RayResult *results, StreamRecord *rec,
-                      Workspace &ws,
-                      const FieldTraceOverride *trace = nullptr) const;
+                      Workspace &ws) const;
 
     /**
      * Stage 4: per-ray suffix recursion (the arithmetic of backwardRay)
@@ -214,8 +213,7 @@ class VolumeRenderer
     void backwardStream(NerfField &field, const SampleStream &stream,
                         const StreamRecord &rec, const Vec3 *d_colors,
                         bool update_density, bool update_color,
-                        FieldGradients *target, Workspace &ws,
-                        const FieldTraceOverride *trace = nullptr) const;
+                        FieldGradients *target, Workspace &ws) const;
 
   private:
     RendererConfig cfg;

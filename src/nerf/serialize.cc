@@ -19,7 +19,6 @@ namespace {
 
 constexpr uint32_t magicWord = 0x49334446u; // "I3DF"
 constexpr uint32_t formatVersion = 3u;      // v3 = v2 + trailing CRC-32
-constexpr uint32_t oldestReadableVersion = 2u;
 
 // Header layout (all uint32): magic, version, decoupled flag, group
 // count, occupancy-present flag, occupancy resolution.
@@ -266,9 +265,8 @@ loadCheckpoint(NerfField &field, OccupancyGrid *occ,
         return fail(err);
     if (header[0] != magicWord)
         return fail(CheckpointError::Magic);
-    if (header[1] < oldestReadableVersion || header[1] > formatVersion)
+    if (header[1] != formatVersion)
         return fail(CheckpointError::Version);
-    const bool with_crc = header[1] >= 3u;
 
     auto groups = field.paramGroups();
     bool decoupled = field.mode() == FieldMode::Decoupled;
@@ -311,7 +309,7 @@ loadCheckpoint(NerfField &field, OccupancyGrid *occ,
                          cells * sizeof(float), stream.chunkBytes,
                          &crc, err))
             return fail(err);
-    } else if (file_has_occ && with_crc) {
+    } else if (file_has_occ) {
         // No grid wanted, but the CRC covers the whole payload: read
         // the occupancy section through the digest and discard it.
         uint64_t cells = 0;
@@ -322,13 +320,11 @@ loadCheckpoint(NerfField &field, OccupancyGrid *occ,
             return fail(err);
     }
 
-    if (with_crc) {
-        uint32_t stored = 0;
-        if (!readBytes(f, &stored, sizeof(stored), nullptr, err))
-            return fail(err);
-        if (stored != crc.value())
-            return fail(CheckpointError::Crc);
-    }
+    uint32_t stored = 0;
+    if (!readBytes(f, &stored, sizeof(stored), nullptr, err))
+        return fail(err);
+    if (stored != crc.value())
+        return fail(CheckpointError::Crc);
     std::fclose(f);
 
     for (size_t g = 0; g < groups.size(); g++)
@@ -361,12 +357,9 @@ peekCheckpoint(const std::string &path)
         return info;
     uint32_t header[headerWords];
     if (std::fread(header, sizeof(header), 1, f) == 1 &&
-        header[0] == magicWord &&
-        header[1] >= oldestReadableVersion &&
-        header[1] <= formatVersion) {
+        header[0] == magicWord && header[1] == formatVersion) {
         info.valid = true;
         info.version = header[1];
-        info.hasCrc = header[1] >= 3u;
         info.decoupled = header[2] != 0;
         info.numGroups = header[3];
         info.hasOccupancy = header[4] != 0;

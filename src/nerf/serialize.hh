@@ -12,7 +12,8 @@
  * counts, occupancy presence + resolution, then raw little-endian
  * float32 parameters group by group, then (if present) the occupancy
  * grid's per-cell density estimates, then a CRC-32 over everything
- * before it. Version-2 files (no CRC) remain readable.
+ * before it. Any other version (including the pre-CRC version 2) is
+ * rejected with CheckpointError::Version.
  *
  * Crash safety: saves stream to `path + ".tmp"`, fsync, then publish
  * by atomic rename, so the target path only ever holds the previous
@@ -41,7 +42,7 @@ enum class CheckpointError : uint8_t
     None = 0,  //!< Success.
     Io,        //!< open/read/write/fsync/rename failed (maybe transient).
     Magic,     //!< Not a checkpoint file.
-    Version,   //!< Format version outside the readable range.
+    Version,   //!< Format version is not the current one.
     Shape,     //!< Mode/group/occupancy layout differs from the model.
     Truncated, //!< File ends before the format says it should.
     Crc,       //!< Stored CRC-32 does not match the payload.
@@ -82,7 +83,7 @@ struct CheckpointStreamConfig
  * occupancy section is discarded when `occ` is null (a caller that
  * passes an occupancy grid requires the file to carry one at the same
  * resolution, since serving with a different skipping pattern would
- * change rendered bits). Reads versions 2 (no CRC) and 3.
+ * change rendered bits). Reads version 3 only.
  *
  * Payload bytes stream through a bounded buffer (see
  * CheckpointStreamConfig); restored params are bit-identical for any
@@ -105,7 +106,6 @@ struct CheckpointInfo
 {
     bool valid = false;    //!< Magic/version recognized.
     uint32_t version = 0;  //!< Format version of the file.
-    bool hasCrc = false;   //!< Version >= 3: payload is CRC-protected.
     bool decoupled = false;
     uint32_t numGroups = 0;
     bool hasOccupancy = false;

@@ -14,7 +14,6 @@
 #define INSTANT3D_NERF_TRACE_SINK_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace instant3d {
 
@@ -34,65 +33,6 @@ class TraceSink
   public:
     virtual ~TraceSink() = default;
     virtual void record(const GridAccess &access) = 0;
-};
-
-/**
- * Buffers accesses from one worker's ray chunk so the parallel trainer
- * can replay them into the real sink in ray order, independent of how
- * chunks were scheduled over threads.
- *
- * Read accesses arrive with point ids drawn from the encoding's shared
- * atomic counter, whose values depend on thread interleaving. Each
- * buffered read is therefore relabeled with a chunk-local sequential
- * point index (a new index whenever the incoming id changes -- one
- * encode call emits a contiguous run of equal ids); flushInto() rebases
- * those local indices onto a running global base, reproducing exactly
- * the monotonic program-order ids a sequential run would have assigned.
- * Write accesses carry no point id (always 0) and pass through as-is.
- */
-class BufferingTraceSink : public TraceSink
-{
-  public:
-    void
-    record(const GridAccess &access) override
-    {
-        GridAccess a = access;
-        if (!a.isWrite) {
-            if (localPoints == 0 || a.pointId != lastRawId) {
-                lastRawId = a.pointId;
-                localPoints++;
-            }
-            a.pointId = localPoints - 1;
-        }
-        buffer.push_back(a);
-    }
-
-    /**
-     * Replay the buffer into dst with read point-ids rebased to start
-     * at `base`; clears the buffer. Returns the number of distinct
-     * points this chunk encoded (advance the base by it).
-     */
-    uint32_t
-    flushInto(TraceSink &dst, uint32_t base)
-    {
-        for (GridAccess a : buffer) {
-            if (!a.isWrite)
-                a.pointId += base;
-            dst.record(a);
-        }
-        uint32_t points = localPoints;
-        buffer.clear();
-        localPoints = 0;
-        lastRawId = 0;
-        return points;
-    }
-
-    bool empty() const { return buffer.empty(); }
-
-  private:
-    std::vector<GridAccess> buffer;
-    uint32_t lastRawId = 0;
-    uint32_t localPoints = 0;
 };
 
 } // namespace instant3d

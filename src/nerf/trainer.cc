@@ -51,6 +51,8 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
     fatalIf(cfg.densityUpdatePeriod < 1 || cfg.colorUpdatePeriod < 1,
             "update periods must be >= 1");
     fatalIf(cfg.gradShards < 1, "gradShards must be positive");
+    fatalIf(cfg.useOccupancyGrid && cfg.occupancyUpdatePeriod < 1,
+            "occupancyUpdatePeriod must be >= 1");
 
     fieldPtr = std::make_unique<NerfField>(field_config, cfg.seed);
 
@@ -66,12 +68,10 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
         rendererPtr->setOccupancyGrid(occupancyPtr.get());
     }
 
-    // Sparse lazy Adam over touched grid entries: only meaningful on
-    // the stream path (the scalar reference scatters without touch
-    // lists) and only exact without weight decay, which feeds params
-    // into the gradient of untouched entries.
-    sparseActive = cfg.sparseOptimizer && !cfg.scalarReference &&
-                   cfg.adam.l2Reg == 0.0f;
+    // Sparse lazy Adam over touched grid entries: only exact without
+    // weight decay, which feeds params into the gradient of untouched
+    // entries.
+    sparseActive = cfg.sparseOptimizer && cfg.adam.l2Reg == 0.0f;
 
     groups = fieldPtr->paramGroups();
     for (auto id : groups) {
@@ -89,22 +89,13 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
     if (sparseActive)
         fieldPtr->setDirtyTracking(true);
 
-    // The scalar reference path never uses the pool; don't spawn idle
-    // workers for it.
-    pool = std::make_unique<ThreadPool>(cfg.scalarReference
-                                            ? 1
-                                            : cfg.numThreads);
+    pool = std::make_unique<ThreadPool>(cfg.numThreads);
 
     // One kernel backend per trainer, routed through every batched
     // kernel: the MLP panels, the grid interp/scatter, the renderer's
     // stream composite, the dense shard reduction, and the dense Adam
-    // step. The scalarReference baseline pins scalar_ref outright
-    // (bypassing config and env override): its per-sample kernels
-    // never dispatch, and its Adam steps must stay on the frozen
-    // seed-exact trajectory too.
-    backend = cfg.scalarReference
-                  ? makeScalarRefBackend()
-                  : createKernelBackend(cfg.kernelBackend);
+    // step.
+    backend = createKernelBackend(cfg.kernelBackend);
     fieldPtr->setKernelBackend(backend.get());
     rendererPtr->setKernelBackend(backend.get());
     for (auto &opt : optimizers)
@@ -140,9 +131,6 @@ Trainer::sampleTrainingRay(Rng &rng, Ray &ray, Vec3 &gt) const
 TrainStats
 Trainer::trainIteration()
 {
-    if (cfg.scalarReference)
-        return trainIterationScalar();
-
     TrainStats stats;
     stats.densityUpdated = dueThisIteration(cfg.densityUpdatePeriod);
     stats.colorUpdated = dueThisIteration(cfg.colorUpdatePeriod);
@@ -174,34 +162,10 @@ Trainer::trainIteration()
     for (auto &shard : shards)
         fieldPtr->prepareGradients(shard);
 
-    // When a trace sink is attached, workers buffer their grid accesses
-    // per chunk; the buffers are merged in ray order below.
+    // A traced iteration runs the chunks in order on this thread, one
+    // ray per stream, so every attached sink receives program-order
+    // accesses carrying the encodings' own monotonic point ids.
     const bool traced = fieldPtr->traceAttached();
-    TraceSink *density_sink =
-        fieldPtr->hasDensityGrid()
-            ? fieldPtr->densityGrid().attachedTraceSink()
-            : nullptr;
-    TraceSink *color_sink =
-        fieldPtr->hasColorGrid()
-            ? fieldPtr->colorGrid().attachedTraceSink()
-            : nullptr;
-    uint32_t density_id_base =
-        density_sink ? fieldPtr->densityGrid().pointIdCounter() : 0;
-    uint32_t color_id_base =
-        color_sink ? fieldPtr->colorGrid().pointIdCounter() : 0;
-    std::vector<BufferingTraceSink> density_buffers;
-    std::vector<BufferingTraceSink> color_buffers;
-    std::vector<FieldTraceOverride> overrides;
-    if (traced) {
-        density_buffers.resize(num_chunks);
-        color_buffers.resize(num_chunks);
-        overrides.resize(num_chunks);
-        for (int c = 0; c < num_chunks; c++) {
-            overrides[c].density =
-                density_sink ? &density_buffers[c] : nullptr;
-            overrides[c].color = color_sink ? &color_buffers[c] : nullptr;
-        }
-    }
 
     // Per-chunk phase times, summed after the parallel section (so the
     // instrumentation needs no atomics and stays deterministic).
@@ -216,10 +180,9 @@ Trainer::trainIteration()
         chunkPhases.assign(static_cast<size_t>(num_chunks), {});
 
     const uint64_t it = static_cast<uint64_t>(iter);
-    pool->parallelFor(num_chunks, [&](int c, int rank) {
+    auto run_chunk = [&](int c, int rank) {
         Workspace &ws = workspaces[rank];
         FieldGradients &shard = shards[c];
-        const FieldTraceOverride *trace = traced ? &overrides[c] : nullptr;
         const int r_begin = c * chunk_len;
         const int r_end =
             std::min(r_begin + chunk_len, cfg.raysPerBatch);
@@ -264,8 +227,7 @@ Trainer::trainIteration()
             double t1 = phased ? monotonicSeconds() : 0.0;
             StreamRecord srec;
             RayResult *results = ws.alloc<RayResult>(per_stream);
-            rendererPtr->renderStream(*fieldPtr, stream, results, &srec,
-                                      ws, trace);
+            rendererPtr->renderStream(*fieldPtr, stream, results, &srec, ws);
             if (phased) {
                 chunkPhases[c].march += t1 - t0;
                 chunkPhases[c].forward += monotonicSeconds() - t1;
@@ -284,26 +246,17 @@ Trainer::trainIteration()
             double t2 = phased ? monotonicSeconds() : 0.0;
             rendererPtr->backwardStream(
                 *fieldPtr, stream, srec, d_colors, stats.densityUpdated,
-                stats.colorUpdated, &shard, ws, trace);
+                stats.colorUpdated, &shard, ws);
             if (phased)
                 chunkPhases[c].backward += monotonicSeconds() - t2;
         }
         chunkLoss[c] = loss_acc;
-    });
-
-    // Merge buffered traces in ray (chunk) order, restoring the
-    // monotonic point ids a sequential run would have produced.
+    };
     if (traced) {
-        if (density_sink) {
-            uint32_t base = density_id_base;
-            for (auto &buf : density_buffers)
-                base += buf.flushInto(*density_sink, base);
-        }
-        if (color_sink) {
-            uint32_t base = color_id_base;
-            for (auto &buf : color_buffers)
-                base += buf.flushInto(*color_sink, base);
-        }
+        for (int c = 0; c < num_chunks; c++)
+            run_chunk(c, 0);
+    } else {
+        pool->parallelFor(num_chunks, run_chunk);
     }
 
     // Deterministic reduction: shards in fixed chunk order.
@@ -374,66 +327,6 @@ Trainer::trainIteration()
     return stats;
 }
 
-/**
- * The original strictly-sequential training iteration: one shared RNG
- * stream, scalar per-sample field queries, per-call heap allocation.
- * Baseline for bench_train_throughput; not bit-comparable with the
- * stream path (different pixel-sampling streams).
- */
-TrainStats
-Trainer::trainIterationScalar()
-{
-    TrainStats stats;
-    stats.densityUpdated = dueThisIteration(cfg.densityUpdatePeriod);
-    stats.colorUpdated = dueThisIteration(cfg.colorUpdatePeriod);
-
-    if (occupancyPtr && iter > 0 &&
-        iter % cfg.occupancyUpdatePeriod == 0) {
-        occupancyPtr->update(*fieldPtr, rng);
-    }
-
-    uint64_t points_before = fieldPtr->queryCount();
-
-    double loss_acc = 0.0;
-    float inv_batch = 1.0f / static_cast<float>(cfg.raysPerBatch);
-
-    for (int r = 0; r < cfg.raysPerBatch; r++) {
-        Ray ray;
-        Vec3 gt;
-        sampleTrainingRay(rng, ray, gt);
-
-        RayRecord rec;
-        RayResult result = rendererPtr->renderRay(*fieldPtr, ray, &rng,
-                                                  &rec);
-
-        Vec3 err = result.color - gt;
-        loss_acc += (err.x * err.x + err.y * err.y + err.z * err.z) / 3.0;
-
-        Vec3 d_color = err * (2.0f / 3.0f * inv_batch);
-        rendererPtr->backwardRay(*fieldPtr, rec, d_color,
-                                 stats.densityUpdated,
-                                 stats.colorUpdated);
-    }
-
-    for (size_t g = 0; g < groups.size(); g++) {
-        bool is_color = groups[g] == ParamGroupId::ColorGrid ||
-                        groups[g] == ParamGroupId::ColorMlp;
-        bool due = is_color ? stats.colorUpdated : stats.densityUpdated;
-        if (due) {
-            optimizers[g]->step(fieldPtr->groupParams(groups[g]),
-                                fieldPtr->groupGrads(groups[g]));
-        }
-    }
-    fieldPtr->zeroGrad();
-
-    stats.loss = loss_acc / cfg.raysPerBatch;
-    stats.pointsQueried = fieldPtr->queryCount() - points_before;
-    pointsTotal += stats.pointsQueried;
-
-    iter++;
-    return stats;
-}
-
 size_t
 Trainer::sparseActiveEntries() const
 {
@@ -483,8 +376,7 @@ Trainer::forEachPixel(
     // With a trace sink attached, renderRayFast would emit reads for
     // the queried-but-uncomposited tail of an early-stopped block; the
     // scalar march keeps eval traces exactly reference-shaped.
-    const bool exact =
-        cfg.scalarReference || fieldPtr->traceAttached();
+    const bool exact = fieldPtr->traceAttached();
 
     auto render_row = [&](int row, int rank) {
         Workspace &ws = workspaces[rank];

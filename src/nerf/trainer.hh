@@ -17,9 +17,9 @@
  * accumulates gradients into its own shard, and shards are reduced
  * into the field in fixed chunk order -- so training is bit-identical
  * for any thread count. Grid trace sinks remain usable: a traced
- * iteration runs each chunk's stream one ray at a time, so every ray's
- * reads precede its writes, worker chunks buffer their accesses, and
- * the trainer merges them in ray order.
+ * iteration runs the same loop serially, chunks in order on the
+ * calling thread and one ray per stream, so every ray's reads precede
+ * its writes and the sinks see program order.
  */
 
 #ifndef INSTANT3D_NERF_TRAINER_HH
@@ -57,7 +57,7 @@ struct TrainConfig
 
     /** Enable Instant-NGP-style occupancy-grid empty-space skipping. */
     bool useOccupancyGrid = false;
-    int occupancyUpdatePeriod = 16; //!< Grid refresh interval (iters).
+    int occupancyUpdatePeriod = 16; //!< Grid refresh interval (iters, >= 1).
     OccupancyGridConfig occupancy;
 
     /**
@@ -77,13 +77,6 @@ struct TrainConfig
     int gradShards = 8;
 
     /**
-     * Run the original scalar reference path: strictly sequential rays
-     * on one shared RNG stream with per-call heap allocation. Kept as
-     * the baseline for bench_train_throughput and for debugging.
-     */
-    bool scalarReference = false;
-
-    /**
      * Step the grid parameter groups with the sparse lazy Adam: the
      * optimizer visits only the entries this iteration's scatters
      * touched (the dirty union of the shard touch lists) plus the
@@ -91,9 +84,8 @@ struct TrainConfig
      * gradient clear visits only the touched entries -- never the full
      * tables. Entries with zero momentum owe only bit-exact no-op
      * updates, so training is bit-identical to the dense optimizer at
-     * every iteration. Active on the stream path when adam.l2Reg == 0
-     * (weight decay makes untouched gradients nonzero); the scalar
-     * reference path and the MLP groups stay dense.
+     * every iteration. Active when adam.l2Reg == 0 (weight decay makes
+     * untouched gradients nonzero); the MLP groups stay dense.
      */
     bool sparseOptimizer = true;
 
@@ -205,13 +197,10 @@ class Trainer
 
     /**
      * Steps 1-2 of the loop: draw one training pixel (view, column,
-     * row) and the jittered ray through it from `rng`. Both training
-     * paths (scalar reference and sample stream) consume exactly this
-     * draw sequence.
+     * row) and the jittered ray through it from the ray's own `rng`.
      */
     void sampleTrainingRay(Rng &rng, Ray &ray, Vec3 &gt) const;
 
-    TrainStats trainIterationScalar();
     void forEachPixel(
         const Camera &camera,
         const std::function<void(int, int, const RayResult &)> &emit);
@@ -228,7 +217,7 @@ class Trainer
     std::vector<Workspace> workspaces;    //!< One per thread rank.
     std::vector<FieldGradients> shards;   //!< One per ray chunk.
     std::vector<double> chunkLoss;
-    Rng rng;
+    Rng rng; //!< Draws the occupancy refresh rounds' keys.
     int iter = 0;
     uint64_t pointsTotal = 0;
     bool sparseActive = false;

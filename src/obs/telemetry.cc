@@ -259,18 +259,6 @@ MetricsRegistry::snapshot() const
     return s;
 }
 
-void
-MetricsRegistry::resetAll()
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    for (const auto &kv : counters)
-        kv.second->reset();
-    for (const auto &kv : gauges)
-        kv.second->set(0.0);
-    for (const auto &kv : histograms)
-        kv.second->reset();
-}
-
 // ------------------------------------------------------------ export
 
 namespace {

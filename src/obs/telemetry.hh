@@ -272,9 +272,6 @@ class MetricsRegistry
 
     MetricsSnapshot snapshot() const;
 
-    /** Zero every registered metric (tests/bench phase isolation). */
-    void resetAll();
-
   private:
     mutable std::mutex mtx;
     std::map<std::string, std::unique_ptr<Counter>> counters;

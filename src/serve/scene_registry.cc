@@ -608,17 +608,6 @@ SceneRegistry::state(const std::string &id) const
     return e.loading ? SceneState::Loading : SceneState::Cold;
 }
 
-std::vector<std::string>
-SceneRegistry::sceneIds() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    std::vector<std::string> ids;
-    ids.reserve(entries.size());
-    for (const auto &kv : entries)
-        ids.push_back(kv.first);
-    return ids;
-}
-
 size_t
 SceneRegistry::size() const
 {

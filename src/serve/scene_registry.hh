@@ -292,7 +292,6 @@ class SceneRegistry
     /** Lifecycle state of `id`. */
     SceneState state(const std::string &id) const;
 
-    std::vector<std::string> sceneIds() const;
     size_t size() const;
 
     SceneRegistryStats stats() const;

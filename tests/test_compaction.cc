@@ -9,12 +9,14 @@
  *  - A traced iteration (one ray per stream, so the trace keeps program
  *    order) trains bit-identically to the untraced chunk-wide stream,
  *    with a fully-occupied grid and with real skipping, at 1 and 4
- *    threads.
+ *    threads, and its trace is the same access sequence at both
+ *    thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -179,12 +181,45 @@ allParams(Trainer &t)
     return params;
 }
 
+/** Every access of `a` equals the same-index access of `b` in all five
+ *  GridAccess fields. */
+void
+expectSameTrace(const std::vector<GridAccess> &a,
+                const std::vector<GridAccess> &b, const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); i++) {
+        ASSERT_EQ(a[i].address, b[i].address) << what << ", access " << i;
+        ASSERT_EQ(a[i].level, b[i].level) << what << ", access " << i;
+        ASSERT_EQ(a[i].corner, b[i].corner) << what << ", access " << i;
+        ASSERT_EQ(a[i].isWrite, b[i].isWrite) << what << ", access " << i;
+        ASSERT_EQ(a[i].pointId, b[i].pointId) << what << ", access " << i;
+    }
+}
+
+/** Read point ids never decrease along a trace's arrival order. */
+void
+expectMonotonicReadIds(const std::vector<GridAccess> &trace,
+                       const std::string &what)
+{
+    uint32_t last = 0;
+    for (size_t i = 0; i < trace.size(); i++) {
+        if (trace[i].isWrite)
+            continue;
+        ASSERT_GE(trace[i].pointId, last) << what << ", access " << i;
+        last = trace[i].pointId;
+    }
+}
+
 /**
  * A trace sink only changes how a chunk is streamed (one ray at a
  * time, so each ray's reads precede its writes), never the numbers:
  * a traced trainer matches an untraced one bit for bit, both with a
  * grid that never clears (stays fully occupied) and with real
- * empty-space skipping engaged, at any thread count.
+ * empty-space skipping engaged, at any thread count. The trace itself
+ * is program order: each grid's sink receives the same access
+ * sequence at 1 and 4 threads, with read point ids that never
+ * decrease.
  */
 TEST(CompactionParityTest, TracedMatchesUntracedStream)
 {
@@ -199,6 +234,8 @@ TEST(CompactionParityTest, TracedMatchesUntracedStream)
     for (const Scenario &sc :
          {Scenario{"fully-occupied", 1 << 20, 0.95f},
           Scenario{"skipping", 2, 0.5f}}) {
+        // Each grid's arrival-order trace from the 1-thread run.
+        std::vector<GridAccess> ref_density, ref_color;
         for (int threads : {1, 4}) {
             TrainConfig tcfg;
             tcfg.raysPerBatch = 48;
@@ -237,6 +274,23 @@ TEST(CompactionParityTest, TracedMatchesUntracedStream)
             }
             traced_t.field().densityGrid().setTraceSink(nullptr);
             traced_t.field().colorGrid().setTraceSink(nullptr);
+
+            const std::string where =
+                std::string(sc.name) + ", " + std::to_string(threads) +
+                " threads";
+            expectMonotonicReadIds(density_trace.accesses(),
+                                   where + ", density grid");
+            expectMonotonicReadIds(color_trace.accesses(),
+                                   where + ", color grid");
+            if (threads == 1) {
+                ref_density = density_trace.accesses();
+                ref_color = color_trace.accesses();
+            } else {
+                expectSameTrace(density_trace.accesses(), ref_density,
+                                where + ", density grid");
+                expectSameTrace(color_trace.accesses(), ref_color,
+                                where + ", color grid");
+            }
 
             if (sc.updatePeriod == 1 << 20) {
                 EXPECT_DOUBLE_EQ(

@@ -17,6 +17,7 @@
 #include "accel/sram.hh"
 #include "common/rng.hh"
 #include "nerf/renderer.hh"
+#include "nerf/trainer.hh"
 #include "scene/scene.hh"
 
 namespace instant3d {
@@ -279,6 +280,31 @@ TEST(DeathTest, NonPowerOfTwoBanksIsFatal)
 {
     EXPECT_EXIT(SramArray(7, 4, 1 << 20),
                 ::testing::ExitedWithCode(1), "power of two");
+}
+
+TEST(DeathTest, OccupancyRefreshPeriodBelowOneIsFatal)
+{
+    DatasetConfig dcfg;
+    dcfg.numTrainViews = 1;
+    dcfg.numTestViews = 1;
+    dcfg.imageWidth = 8;
+    dcfg.imageHeight = 8;
+    Dataset ds = makeDataset(makeSyntheticScene("lego"), dcfg);
+    TrainConfig tcfg;
+    tcfg.useOccupancyGrid = true;
+    tcfg.occupancyUpdatePeriod = 0;
+    EXPECT_EXIT(Trainer(ds, FieldConfig{}, tcfg),
+                ::testing::ExitedWithCode(1), "occupancyUpdatePeriod");
+}
+
+TEST(DeathTest, OccupancyProbeCountBelowOneIsFatal)
+{
+    for (int probes : {0, -1}) {
+        OccupancyGridConfig cfg;
+        cfg.samplesPerCellUpdate = probes;
+        EXPECT_EXIT(OccupancyGrid{cfg}, ::testing::ExitedWithCode(1),
+                    "samplesPerCellUpdate");
+    }
 }
 
 } // namespace

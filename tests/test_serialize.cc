@@ -140,7 +140,6 @@ TEST(SerializeTest, OccupancyCheckpointRoundTrip)
     CheckpointInfo info = peekCheckpoint(path);
     EXPECT_TRUE(info.valid);
     EXPECT_EQ(info.version, 3u);
-    EXPECT_TRUE(info.hasCrc);
     EXPECT_TRUE(info.decoupled);
     EXPECT_TRUE(info.hasOccupancy);
     EXPECT_EQ(info.occResolution,
@@ -331,7 +330,7 @@ TEST(SerializeTest, MidTrainingCheckpointSettledAndNonPerturbing)
     std::remove(path.c_str());
 }
 
-// ---- Format v3: CRC, v2 compatibility, crash safety ----------------------
+// ---- Format v3: CRC, v2 rejection, crash safety -------------------------
 
 /** Disarm + zero all fault points on entry and exit of a test. */
 struct FaultGuard
@@ -378,20 +377,19 @@ writeV2Field(NerfField &field, const std::string &path)
     std::fclose(f);
 }
 
-TEST(SerializeTest, Version2CheckpointStillLoads)
+/** A v2 payload carries no CRC, so v2 files are refused outright. */
+TEST(SerializeTest, Version2CheckpointIsRejected)
 {
     NerfField source(tinyField(), 1);
     const std::string path = "test_serialize_v2.bin";
     writeV2Field(source, path);
 
-    CheckpointInfo info = peekCheckpoint(path);
-    EXPECT_TRUE(info.valid);
-    EXPECT_EQ(info.version, 2u);
-    EXPECT_FALSE(info.hasCrc);
+    EXPECT_FALSE(peekCheckpoint(path).valid);
 
-    NerfField loaded(tinyField(), 777);
-    ASSERT_EQ(loadField(loaded, path), CheckpointError::None);
-    expectParamsEqual(loaded, snapshotParams(source));
+    NerfField dest(tinyField(), 777);
+    auto before = snapshotParams(dest);
+    EXPECT_EQ(loadField(dest, path), CheckpointError::Version);
+    expectParamsEqual(dest, before);
     std::remove(path.c_str());
 }
 
