@@ -35,16 +35,6 @@ class Half
     Half() : bits(0) {}
     Half(float f) : bits(floatToHalfBits(f)) {}
 
-    /** Reinterpret raw storage bits as a Half. */
-    static Half
-    fromBits(uint16_t b)
-    {
-        Half h;
-        h.bits = b;
-        return h;
-    }
-
-    uint16_t toBits() const { return bits; }
     float toFloat() const { return halfBitsToFloat(bits); }
     operator float() const { return toFloat(); }
 

@@ -65,7 +65,6 @@ struct Vec3
     }
 
     float norm() const { return std::sqrt(dot(*this)); }
-    float squaredNorm() const { return dot(*this); }
 
     /** Unit-length copy; returns +x axis for the zero vector. */
     Vec3

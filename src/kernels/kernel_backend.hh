@@ -36,8 +36,10 @@
  * Selection: TrainConfig::kernelBackend names the backend ("simd" or
  * "scalar_ref"); the INSTANT3D_KERNEL_BACKEND environment variable
  * overrides it. A class with no backend installed (a null pointer)
- * runs simd, so serving, occupancy refresh and standalone fields run
- * the same kernels as training. The resolved name is recorded in
+ * runs simd, so serving and standalone fields run the same kernels as
+ * training. An occupancy refresh queries only the density branch of
+ * the field it refreshes from (NerfField::queryDensity), through that
+ * field's backend. The resolved name is recorded in
  * BENCH_train_throughput.json.
  */
 

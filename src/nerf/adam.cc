@@ -61,16 +61,6 @@ Adam::step(std::vector<float> &params, const std::vector<float> &grads)
 }
 
 void
-Adam::setLearningRate(float lr)
-{
-    panicIf(sparse && t != 0,
-            "sparse Adam cannot change the learning rate mid-training "
-            "(deferred replays and retirement proofs assume a fixed "
-            "lr); set it before the first step or step densely");
-    cfg.lr = lr;
-}
-
-void
 Adam::enableSparse(uint32_t entry_span)
 {
     panicIf(t != 0, "enableSparse() must precede the first step");

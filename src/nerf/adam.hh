@@ -115,18 +115,6 @@ class Adam
     const AdamConfig &config() const { return cfg; }
 
     /**
-     * Change the learning rate. Rejected mid-training in sparse mode:
-     * retired entries' skipped updates were proven no-ops at the old
-     * rate, and deferred replays would run at the new one -- either
-     * silently breaks the dense-equivalence contract. (Versioning lr
-     * per step like the bias corrections would not rescue retirement:
-     * a later increase can turn a retired entry's future updates back
-     * into real ones.) Set the rate before the first step, or use the
-     * dense optimizer for lr schedules.
-     */
-    void setLearningRate(float lr);
-
-    /**
      * Route the dense step through the given kernel backend's
      * adamDenseStep kernel; nullptr means simd. Safe to change between
      * steps. The sparse sweep is a plain serial loop that no backend

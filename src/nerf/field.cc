@@ -269,6 +269,24 @@ NerfField::backward(const FieldRecord &rec, float d_sigma,
     }
 }
 
+float *
+NerfField::encodeTrunk(const Vec3 *pts, int n, EncodeBatchRecord *rec,
+                       Workspace &ws)
+{
+    const int in_dim = densityMlpPtr->inputDim();
+    float *in = ws.alloc<float>(static_cast<size_t>(n) * in_dim);
+    if (cfg.mode == FieldMode::Vanilla) {
+        for (int s = 0; s < n; s++) {
+            encodePosition(clamp(pts[s], 0.0f, 1.0f),
+                           cfg.posEncFrequencies,
+                           in + static_cast<size_t>(s) * in_dim);
+        }
+    } else {
+        densityGridPtr->encodeBatch(pts, n, in, rec, ws);
+    }
+    return in;
+}
+
 void
 NerfField::queryBatch(const Vec3 *pts, int n, const Vec3 &d,
                       FieldSample *out, FieldBatchRecord *rec,
@@ -304,11 +322,8 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
         rec->n = n;
 
     if (cfg.mode == FieldMode::Decoupled) {
-        const int ddim = densityGridPtr->outputDim();
         float *dens_feat =
-            ws.alloc<float>(static_cast<size_t>(n) * ddim);
-        densityGridPtr->encodeBatch(pts, n, dens_feat,
-                                    rec ? &rec->densityEnc : nullptr, ws);
+            encodeTrunk(pts, n, rec ? &rec->densityEnc : nullptr, ws);
         float *raw = ws.alloc<float>(n);
         densityMlpPtr->forwardBatch(dens_feat, n, raw,
                                     rec ? &rec->densityMlp : nullptr,
@@ -349,20 +364,8 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
 
     // Coupled and vanilla modes share the chained-trunk layout; they
     // differ only in how the trunk input is produced.
-    const int in_dim = cfg.mode == FieldMode::Vanilla
-                           ? cfg.posEncodingDim()
-                           : densityGridPtr->outputDim();
-    float *trunk_in = ws.alloc<float>(static_cast<size_t>(n) * in_dim);
-    if (cfg.mode == FieldMode::Vanilla) {
-        for (int s = 0; s < n; s++) {
-            encodePosition(clamp(pts[s], 0.0f, 1.0f),
-                           cfg.posEncFrequencies,
-                           trunk_in + static_cast<size_t>(s) * in_dim);
-        }
-    } else {
-        densityGridPtr->encodeBatch(pts, n, trunk_in,
-                                    rec ? &rec->densityEnc : nullptr, ws);
-    }
+    float *trunk_in =
+        encodeTrunk(pts, n, rec ? &rec->densityEnc : nullptr, ws);
 
     const int odim = 1 + cfg.geoFeatureDim;
     float *dens_out = ws.alloc<float>(static_cast<size_t>(n) * odim);
@@ -395,6 +398,25 @@ NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
     }
     if (rec)
         rec->rawSigma = raw;
+}
+
+void
+NerfField::queryDensity(const Vec3 *pts, int n, float *sigma,
+                        Workspace &ws)
+{
+    if (n <= 0)
+        return;
+    queries.fetch_add(static_cast<uint64_t>(n),
+                      std::memory_order_relaxed);
+    float *trunk_in = encodeTrunk(pts, n, nullptr, ws);
+
+    // Decoupled outputs sigma alone; the chained trunk of Coupled and
+    // Vanilla puts it in column 0, ahead of the geometry features.
+    const int odim = densityMlpPtr->outputDim();
+    float *out = ws.alloc<float>(static_cast<size_t>(n) * odim);
+    densityMlpPtr->forwardBatch(trunk_in, n, out, nullptr, ws);
+    for (int s = 0; s < n; s++)
+        sigma[s] = softplus(out[static_cast<size_t>(s) * odim]);
 }
 
 void

@@ -217,6 +217,22 @@ class NerfField
                      FieldBatchRecord *rec, Workspace &ws);
 
     /**
+     * Density-only batched query: sigma[s] for n points, from the
+     * density branch alone (an occupancy probe needs nothing else).
+     * Decoupled: density-grid encode, density MLP, softplus. Coupled:
+     * the same, reading column 0 of the trunk's 1 + geoFeatureDim
+     * outputs. Vanilla: positional encoding, then the density MLP.
+     * The color grid, color MLP and direction encoding never run.
+     * These are the kernels queryStream() runs on the density branch,
+     * so sigma is bit-equal to queryBatch()'s in every build. Counts
+     * n queries in queryCount(), as queryBatch() does.
+     *
+     * Thread-safe for concurrent calls while no trace sink is attached.
+     */
+    void queryDensity(const Vec3 *pts, int n, float *sigma,
+                      Workspace &ws);
+
+    /**
      * Backward over a compacted multi-ray stream recorded by
      * queryStream(): rays in *ascending* order, samples in *descending*
      * order within each span (the renderer's compositing order, and
@@ -258,7 +274,6 @@ class NerfField
      * overhead for non-sparse training).
      */
     void setDirtyTracking(bool enable);
-    bool dirtyTracking() const { return trackDirty; }
 
     /**
      * Unique entry base offsets of a grid group written since the last
@@ -337,6 +352,14 @@ class NerfField
         std::vector<uint32_t> entries; //!< Unique base offsets.
         std::vector<uint64_t> bits;    //!< Per-entry membership bit.
     };
+
+    /**
+     * The density MLP's input rows for n points, from ws: the density
+     * grid's encoding (recorded into rec when non-null), or the
+     * positional encoding in Vanilla mode, which has no grid.
+     */
+    float *encodeTrunk(const Vec3 *pts, int n, EncodeBatchRecord *rec,
+                       Workspace &ws);
 
     void noteDirty(DirtySet &set, const std::vector<uint32_t> &touched,
                    uint32_t span) const;

@@ -172,7 +172,12 @@ class HashEncoding
     /** The currently attached sink, or nullptr. */
     TraceSink *attachedTraceSink() const { return traceSink; }
 
-    /** Total reads/writes issued since construction (workload stats). */
+    /**
+     * Total reads/writes issued since construction (workload stats).
+     * Occupancy-refresh probes query the density branch alone
+     * (NerfField::queryDensity), so they count against the density
+     * grid's reads and never the color grid's.
+     */
     uint64_t readCount() const
     { return reads.load(std::memory_order_relaxed); }
     uint64_t writeCount() const

@@ -142,9 +142,6 @@ class Mlp
     { kernelBackend = backend; }
 
   private:
-    size_t weightOffset(int layer) const { return wOffsets[layer]; }
-    size_t biasOffset(int layer) const { return bOffsets[layer]; }
-
     std::vector<int> dims;
     OutputActivation outAct;
     std::vector<float> weights;      //!< All W then b, layer-major.

@@ -1,13 +1,19 @@
 #include "nerf/occupancy_grid.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "nerf/field.hh"
 
 namespace instant3d {
 
 namespace {
+
+/** Probe points per block of a refresh's field queries. */
+constexpr int probeBlockPoints = 128;
 
 /**
  * One refresh round's jitter key: the probes of cell `idx` in this
@@ -87,20 +93,26 @@ OccupancyGrid::occupiedFraction() const
 }
 
 void
-OccupancyGrid::refresh(NerfField &field, Rng &rng)
+OccupancyGrid::refresh(NerfField &field, Rng &rng, ThreadPool *pool)
 {
     if (cfg.partialUpdate)
-        updatePartial(field, rng);
+        updatePartial(field, rng, pool);
     else
-        update(field, rng);
+        update(field, rng, pool);
 }
 
 void
-OccupancyGrid::updatePartial(NerfField &field, Rng &rng)
+OccupancyGrid::update(NerfField &field, Rng &rng, ThreadPool *pool)
 {
-    const float cell = 1.0f / static_cast<float>(cfg.resolution);
-    const int probes = cfg.samplesPerCellUpdate;
-    const int res = cfg.resolution;
+    const uint64_t round_key = drawRoundKey(rng);
+    probeList.resize(density.size());
+    std::iota(probeList.begin(), probeList.end(), 0u);
+    probeCells(field, round_key, pool);
+}
+
+void
+OccupancyGrid::updatePartial(NerfField &field, Rng &rng, ThreadPool *pool)
+{
     const uint32_t n_cells = static_cast<uint32_t>(density.size());
     const uint64_t round_key = drawRoundKey(rng);
 
@@ -109,11 +121,16 @@ OccupancyGrid::updatePartial(NerfField &field, Rng &rng)
     // (cell i is a candidate when i mod D cycles onto this round's
     // phase, D = round(1 / candidateFraction)) -- so no cleared cell
     // goes more than D rounds without a fresh probe, deterministically.
-    const uint32_t divisor =
-        cfg.candidateFraction > 0.0f
-            ? std::max(1u, static_cast<uint32_t>(
-                               1.0f / cfg.candidateFraction + 0.5f))
-            : 0u;
+    // D is rounded in float, then clamped to the uint32 range before
+    // the cast: for a fraction below 2^-32 it exceeds that range, where
+    // the cast is undefined.
+    uint32_t divisor = 0;
+    if (cfg.candidateFraction > 0.0f) {
+        const double period =
+            static_cast<double>(1.0f / cfg.candidateFraction + 0.5f);
+        divisor = std::max(1u, static_cast<uint32_t>(std::min(
+                                   period, double(UINT32_MAX))));
+    }
     const uint32_t phase = divisor ? updateRound % divisor : 0u;
     updateRound++;
     probeList.clear();
@@ -123,77 +140,68 @@ OccupancyGrid::updatePartial(NerfField &field, Rng &rng)
             probeList.push_back(i);
         }
     }
+    probeCells(field, round_key, pool);
+}
 
+void
+OccupancyGrid::probeCells(NerfField &field, uint64_t round_key,
+                          ThreadPool *pool)
+{
     // EMA decay for every cell -- no field queries, just one cheap
-    // pass -- then fresh probes raise the re-sampled cells back up.
+    // pass -- then fresh probes raise the probed cells back up, so each
+    // ends at max(d * decay, fresh).
     for (float &d : density)
         d *= cfg.decay;
 
-    // Query the probe list in fixed-size blocks through the batched
-    // kernels. Per-cell probe streams make the blocking (and the probe
-    // list's composition) invisible to the sampled positions.
-    const int block = std::max(1, res * probes);
-    for (size_t begin = 0; begin < probeList.size();
-         begin += static_cast<size_t>(block)) {
-        const int nb = static_cast<int>(
-            std::min(static_cast<size_t>(block),
-                     probeList.size() - begin));
+    const float cell = 1.0f / static_cast<float>(cfg.resolution);
+    const int probes = cfg.samplesPerCellUpdate;
+    const int res = cfg.resolution;
+    const size_t block =
+        static_cast<size_t>(std::max(1, probeBlockPoints / probes));
+    const int num_blocks =
+        static_cast<int>((probeList.size() + block - 1) / block);
+
+    // Per-cell probe streams make the blocking (and the probe list's
+    // composition) invisible to the sampled positions, and each block
+    // writes only its own cells, so blocks may run in any order on any
+    // thread.
+    auto run_block = [&](int b, int rank) {
+        Workspace &ws = workspaces[static_cast<size_t>(rank)];
+        const size_t begin = static_cast<size_t>(b) * block;
+        const int nb =
+            static_cast<int>(std::min(block, probeList.size() - begin));
+        const int np = nb * probes;
         ws.reset();
-        Vec3 *pts = ws.alloc<Vec3>(static_cast<size_t>(nb) * probes);
-        FieldSample *fs =
-            ws.alloc<FieldSample>(static_cast<size_t>(nb) * probes);
+        Vec3 *pts = ws.alloc<Vec3>(static_cast<size_t>(np));
+        float *sigma = ws.alloc<float>(static_cast<size_t>(np));
         for (int i = 0; i < nb; i++) {
             cellProbes(round_key, probeList[begin + i], res, probes,
                        cell, pts + static_cast<size_t>(i) * probes);
         }
-        field.queryBatch(pts, nb * probes, {0.0f, 0.0f, 1.0f}, fs,
-                         nullptr, ws);
+        field.queryDensity(pts, np, sigma, ws);
 
         for (int i = 0; i < nb; i++) {
             float fresh = 0.0f;
             for (int s = 0; s < probes; s++)
-                fresh = std::max(fresh, fs[i * probes + s].sigma);
+                fresh = std::max(fresh, sigma[i * probes + s]);
             float &d = density[probeList[begin + i]];
             d = std::max(d, fresh);
         }
-    }
-}
+    };
 
-void
-OccupancyGrid::update(NerfField &field, Rng &rng)
-{
-    const float cell = 1.0f / static_cast<float>(cfg.resolution);
-    const int probes = cfg.samplesPerCellUpdate;
-    const int res = cfg.resolution;
-    const int row = res * probes; // probe count per x-row
-    const uint64_t round_key = drawRoundKey(rng);
-
-    size_t idx = 0;
-    for (int z = 0; z < res; z++) {
-        for (int y = 0; y < res; y++) {
-            ws.reset();
-            Vec3 *pts = ws.alloc<Vec3>(row);
-            FieldSample *fs = ws.alloc<FieldSample>(row);
-
-            // Each cell's probes come from its own (round key, cell)
-            // stream; the whole x-row is queried as one batch
-            // (queryBatch is bit-identical to query()).
-            const uint32_t row_base = static_cast<uint32_t>(idx);
-            for (int x = 0; x < res; x++) {
-                cellProbes(round_key, row_base + x, res, probes, cell,
-                           pts + static_cast<size_t>(x) * probes);
-            }
-            field.queryBatch(pts, row, {0.0f, 0.0f, 1.0f}, fs, nullptr,
-                             ws);
-
-            for (int x = 0; x < res; x++, idx++) {
-                float fresh = 0.0f;
-                for (int s = 0; s < probes; s++)
-                    fresh = std::max(fresh, fs[x * probes + s].sigma);
-                density[idx] =
-                    std::max(density[idx] * cfg.decay, fresh);
-            }
-        }
+    // A traced refresh runs its blocks in order on this thread, as a
+    // traced training iteration runs its chunks, so every attached
+    // sink receives program-order accesses.
+    const bool pooled = pool && !field.traceAttached();
+    const size_t ranks =
+        pooled ? static_cast<size_t>(pool->threadCount()) : 1;
+    if (workspaces.size() < ranks)
+        workspaces.resize(ranks);
+    if (pooled) {
+        pool->parallelFor(num_blocks, run_block);
+    } else {
+        for (int b = 0; b < num_blocks; b++)
+            run_block(b, 0);
     }
 }
 

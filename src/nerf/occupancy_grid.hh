@@ -23,6 +23,7 @@
 namespace instant3d {
 
 class NerfField;
+class ThreadPool;
 
 /** Configuration of the occupancy grid. */
 struct OccupancyGridConfig
@@ -45,9 +46,9 @@ struct OccupancyGridConfig
     /**
      * Share of unoccupied cells re-probed per partial refresh: cell i
      * is a candidate when i mod D rotates onto the round's phase,
-     * D = round(1 / candidateFraction), so every cleared cell is
-     * re-examined at least once every D refreshes (0 disables
-     * candidate probes entirely).
+     * D = round(1 / candidateFraction) capped at 2^32 - 1, so every
+     * cleared cell is re-examined at least once every D refreshes (0
+     * disables candidate probes entirely).
      */
     float candidateFraction = 0.125f;
 };
@@ -74,35 +75,43 @@ class OccupancyGrid
 
     /**
      * Full-sweep refresh from the field: every cell's density estimate
-     * decays and is maxed with fresh point samples (Instant-NGP's
-     * update rule), queried one x-row at a time through the batched
-     * field kernels. Each round draws one key from `rng` and each
-     * cell's probe jitter comes from its own (round key, cell index)
-     * stream -- bit-reproducible for a fixed seed, and bit-identical
-     * per cell to a partial refresh of the same round probing it.
+     * decays and is maxed with fresh point samples, max(d * decay,
+     * fresh) (Instant-NGP's update rule). It is the every-cell probe
+     * list of the block loop updatePartial() runs. Each round draws
+     * one key from `rng` and each cell's probe jitter comes from its
+     * own (round key, cell index) stream -- bit-reproducible for a
+     * fixed seed, and bit-identical per cell to a partial refresh of
+     * the same round probing it.
+     *
+     * Probes query the density branch only (NerfField::queryDensity)
+     * in fixed-size blocks spread over `pool`, one workspace per pool
+     * rank; a null pool runs the blocks inline. Each block writes only
+     * its own cells, so the grid is bit-identical for any pool size.
+     * With a trace sink attached to the field the blocks run in order
+     * on the calling thread, so the sink sees program order.
      */
-    void update(NerfField &field, Rng &rng);
+    void update(NerfField &field, Rng &rng, ThreadPool *pool = nullptr);
 
     /**
      * Partial refresh: decay every cell's estimate, then re-probe only
      * the currently occupied cells plus this round's rotating slice of
      * the unoccupied ones, maxing the probed cells with fresh samples.
-     * Probes run through the batched field kernels in fixed-size
-     * blocks; like update(), the round draws one key from `rng` and
-     * each cell's jitter comes from its (round key, cell) stream, so a
-     * fixed seed reproduces the grid bit-exactly and commonly-probed
-     * cells match the full sweep's probes bit-for-bit. Occupied cells
-     * never go stale (always re-probed) and cleared cells re-enter
-     * within 1/candidateFraction rounds, so the occupied set converges
-     * to the full sweep's.
+     * Round key, decay and probing are update()'s, over a shorter probe
+     * list, so a fixed seed reproduces the grid bit-exactly at any pool
+     * size and commonly-probed cells match the full sweep's probes
+     * bit-for-bit. Occupied cells never go stale (always re-probed) and
+     * cleared cells re-enter within 1/candidateFraction rounds, so the
+     * occupied set converges to the full sweep's.
      */
-    void updatePartial(NerfField &field, Rng &rng);
+    void updatePartial(NerfField &field, Rng &rng,
+                       ThreadPool *pool = nullptr);
 
     /**
-     * The trainer's refresh entry point: updatePartial() when
-     * cfg.partialUpdate is set, else the full-sweep update().
+     * The trainer's refresh entry point, run over the trainer's pool:
+     * updatePartial() when cfg.partialUpdate is set, else the
+     * full-sweep update().
      */
-    void refresh(NerfField &field, Rng &rng);
+    void refresh(NerfField &field, Rng &rng, ThreadPool *pool = nullptr);
 
     /** Direct density estimate of a cell (testing/inspection). */
     float cellDensity(size_t index) const { return density.at(index); }
@@ -117,10 +126,17 @@ class OccupancyGrid
     size_t numCells() const { return density.size(); }
 
   private:
+    /**
+     * Decay every cell, then max each cell of probeList with its fresh
+     * probes' peak density -- the one probe loop of both refresh modes.
+     */
+    void probeCells(NerfField &field, uint64_t round_key,
+                    ThreadPool *pool);
+
     OccupancyGridConfig cfg;
     std::vector<float> density;
-    Workspace ws; //!< Scratch for the batched update queries.
-    std::vector<uint32_t> probeList; //!< Partial-refresh cell indices.
+    std::vector<Workspace> workspaces; //!< Probe scratch, one per rank.
+    std::vector<uint32_t> probeList; //!< This round's cells, ascending.
     uint32_t updateRound = 0; //!< Candidate-rotation phase counter.
 };
 

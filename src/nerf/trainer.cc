@@ -136,9 +136,11 @@ Trainer::trainIteration()
     stats.colorUpdated = dueThisIteration(cfg.colorUpdatePeriod);
 
     // Periodic occupancy refresh (after an initial optimistic phase,
-    // so real surfaces exist before anything is skipped). Serial, on
-    // the trainer's own stream; refresh() amortizes via the partial
-    // probe subset when the grid config enables it.
+    // so real surfaces exist before anything is skipped). Its round key
+    // comes from the trainer's own stream; its density-only probe
+    // blocks spread over the pool (inline and in order when traced),
+    // and refresh() amortizes via the partial probe subset when the
+    // grid config enables it.
     // Each phase is timed into its train.phase.*_ms histogram, and
     // only while telemetry is on: disabled, no clock is read.
     const bool phased = obs::enabled();
@@ -146,7 +148,7 @@ Trainer::trainIteration()
     if (occupancyPtr && iter > 0 &&
         iter % cfg.occupancyUpdatePeriod == 0) {
         obs::ScopedTimer timer(ph.occRefresh);
-        occupancyPtr->refresh(*fieldPtr, rng);
+        occupancyPtr->refresh(*fieldPtr, rng, pool.get());
     }
 
     uint64_t points_before = fieldPtr->queryCount();

@@ -118,15 +118,6 @@ TraceRing::global()
 }
 
 void
-TraceRing::setCapacity(size_t n)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    capacity = std::max<size_t>(1, n);
-    while (ring.size() > capacity)
-        ring.pop_front();
-}
-
-void
 TraceRing::setSlowThresholdMs(double ms)
 {
     std::lock_guard<std::mutex> lock(mtx);

@@ -115,7 +115,6 @@ class TraceRing
   public:
     static TraceRing &global();
 
-    void setCapacity(size_t n);
     /** Traces slower than this dump a breakdown via warn(); 0 = off. */
     void setSlowThresholdMs(double ms);
     double slowThresholdMs() const;

@@ -16,15 +16,21 @@
  *
  *  - The partial occupancy refresh is deterministic for a fixed seed
  *    and converges to the same occupied set as the full res^3 sweep.
+ *
+ *  - Both refresh modes probe the density branch alone over a thread
+ *    pool, bit-identically to scalar field queries in every FieldMode.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "nerf/adam.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
@@ -424,6 +430,226 @@ TEST(PartialRefreshTest, ConvergesToFullSweepOccupiedSet)
     EXPECT_LT(static_cast<double>(lagging),
               0.05 * static_cast<double>(full->numCells()))
         << "partial refresh lags the full sweep on too many cells";
+}
+
+/**
+ * The candidate period D = round(1 / candidateFraction) stays in range
+ * for every fraction the config accepts: a fraction far below 2^-32
+ * means "re-probe cleared cells almost never", so once every cell has
+ * cleared one refresh probes no more cells than at 1e-9 -- never the
+ * whole grid.
+ */
+TEST(PartialRefreshTest, TinyCandidateFractionProbesNoMoreCells)
+{
+    auto cells_probed = [](float fraction) {
+        OccupancyGridConfig ocfg;
+        ocfg.resolution = 16;
+        ocfg.candidateFraction = fraction;
+        OccupancyGrid grid(ocfg);
+        for (size_t i = 0; i < grid.numCells(); i++)
+            grid.setCellDensity(i, 0.0f);
+        NerfField field(smallField(), 3);
+        Rng rng(9);
+        grid.refresh(field, rng);
+        return field.queryCount();
+    };
+    const uint64_t small = cells_probed(1e-9f);
+    const uint64_t tiny = cells_probed(1e-20f);
+    EXPECT_LT(small, 16u * 16u * 16u);
+    EXPECT_LE(tiny, small);
+}
+
+/** smallField()'s grid and MLP sizes in the given mode. */
+FieldConfig
+smallField(FieldMode mode)
+{
+    FieldConfig cfg = smallField();
+    if (mode == FieldMode::Coupled) {
+        cfg = FieldConfig::ngpBaseline(cfg.densityGrid);
+        cfg.hiddenDim = 16;
+    } else if (mode == FieldMode::Vanilla) {
+        cfg = FieldConfig::vanillaBaseline(16, 2);
+    }
+    return cfg;
+}
+
+/** Perturb every parameter, so that density varies across the unit
+ *  cube (a fresh field's is nearly flat). */
+void
+perturb(NerfField &field)
+{
+    Rng r(23);
+    for (auto id : field.paramGroups())
+        for (float &p : field.groupParams(id))
+            p += r.nextFloat(-0.5f, 0.5f);
+}
+
+/**
+ * `rounds` full sweeps replayed through the scalar field.query(), as
+ * OccupancyUpdateTest.BatchedRowsMatchScalarProbes builds one: each
+ * round's key from `rng`, each cell's probes from its (round key,
+ * cell) stream, then the EMA-max rule.
+ */
+std::vector<float>
+scalarSweeps(NerfField &field, const OccupancyGridConfig &ocfg, Rng rng,
+             int rounds)
+{
+    const int res = ocfg.resolution;
+    std::vector<float> ref(static_cast<size_t>(res) * res * res,
+                           ocfg.occupancyThreshold * 2.0f);
+    const float cell = 1.0f / static_cast<float>(res);
+    for (int round = 0; round < rounds; round++) {
+        const uint64_t round_key =
+            (static_cast<uint64_t>(rng.nextU32()) << 32) | rng.nextU32();
+        size_t idx = 0;
+        for (int z = 0; z < res; z++)
+            for (int y = 0; y < res; y++)
+                for (int x = 0; x < res; x++, idx++) {
+                    Rng cell_rng = Rng::forIndex(
+                        round_key, 0, static_cast<uint64_t>(idx));
+                    float fresh = 0.0f;
+                    for (int s = 0; s < ocfg.samplesPerCellUpdate; s++) {
+                        Vec3 p((x + cell_rng.nextFloat()) * cell,
+                               (y + cell_rng.nextFloat()) * cell,
+                               (z + cell_rng.nextFloat()) * cell);
+                        fresh = std::max(
+                            fresh,
+                            field.query(p, {0.0f, 0.0f, 1.0f}).sigma);
+                    }
+                    ref[idx] = std::max(ref[idx] * ocfg.decay, fresh);
+                }
+    }
+    return ref;
+}
+
+/**
+ * Refresh probes query the density branch alone, in blocks spread over
+ * a thread pool, and change nothing in any FieldMode: queryDensity's
+ * sigma equals queryBatch's and query()'s bit for bit; full sweeps over
+ * pools of 1, 2 and 8 threads equal the scalar replay; partial rounds
+ * over those pools equal the inline rounds; and Coupled and Vanilla
+ * trainers with occupancy on train bit-identically at 1, 2 and 8
+ * threads (SparseAdamParityTest covers Decoupled).
+ */
+TEST(PartialRefreshTest, DensityOnlyPooledRefreshIsExactInEveryMode)
+{
+    const std::vector<std::pair<FieldMode, const char *>> modes = {
+        {FieldMode::Decoupled, "decoupled"},
+        {FieldMode::Coupled, "coupled"},
+        {FieldMode::Vanilla, "vanilla"}};
+    ThreadPool pool1(1), pool2(2), pool8(8);
+    const std::vector<ThreadPool *> pools = {&pool1, &pool2, &pool8};
+
+    OccupancyGridConfig base;
+    base.resolution = 8;
+    base.samplesPerCellUpdate = 2;
+    base.decay = 0.5f;
+    const int rounds = 4;
+
+    for (const auto &[mode, name] : modes) {
+        SCOPED_TRACE(name);
+        NerfField field(smallField(mode), 17);
+        perturb(field);
+
+        Rng pr(5);
+        const int n = 97;
+        std::vector<Vec3> pts(n);
+        for (Vec3 &p : pts)
+            p = Vec3(pr.nextFloat(), pr.nextFloat(), pr.nextFloat());
+        Workspace ws;
+        std::vector<float> sigma(n);
+        std::vector<FieldSample> fs(n);
+        const uint64_t before = field.queryCount();
+        field.queryDensity(pts.data(), n, sigma.data(), ws);
+        EXPECT_EQ(field.queryCount() - before, static_cast<uint64_t>(n));
+        ws.reset();
+        field.queryBatch(pts.data(), n, {0.0f, 0.0f, 1.0f}, fs.data(),
+                         nullptr, ws);
+        for (int s = 0; s < n; s++) {
+            ASSERT_EQ(sigma[s], fs[s].sigma) << "point " << s;
+            ASSERT_EQ(sigma[s], field.query(pts[s], {0.0f, 0.0f, 1.0f}).sigma)
+                << "point " << s;
+        }
+
+        // Threshold at the median probe density, so cells fall on both
+        // sides of it and the partial probe lists are proper subsets.
+        OccupancyGridConfig ocfg = base;
+        std::nth_element(sigma.begin(), sigma.begin() + n / 2, sigma.end());
+        ocfg.occupancyThreshold = sigma[n / 2];
+
+        const std::vector<float> ref =
+            scalarSweeps(field, ocfg, Rng(41), rounds);
+        for (ThreadPool *pool : pools) {
+            OccupancyGrid grid(ocfg);
+            Rng rng(41);
+            for (int r = 0; r < rounds; r++)
+                grid.update(field, rng, pool);
+            for (size_t i = 0; i < grid.numCells(); i++)
+                ASSERT_EQ(grid.cellDensity(i), ref[i])
+                    << pool->threadCount() << " threads, cell " << i;
+        }
+
+        OccupancyGridConfig pcfg = ocfg;
+        pcfg.partialUpdate = true;
+        pcfg.candidateFraction = 0.25f;
+        OccupancyGrid inline_grid(pcfg);
+        Rng inline_rng(43);
+        for (int r = 0; r < rounds; r++)
+            inline_grid.refresh(field, inline_rng);
+        EXPECT_GT(inline_grid.occupiedFraction(), 0.0);
+        EXPECT_LT(inline_grid.occupiedFraction(), 1.0);
+        for (ThreadPool *pool : pools) {
+            OccupancyGrid grid(pcfg);
+            Rng rng(43);
+            for (int r = 0; r < rounds; r++)
+                grid.refresh(field, rng, pool);
+            for (size_t i = 0; i < grid.numCells(); i++)
+                ASSERT_EQ(grid.cellDensity(i), inline_grid.cellDensity(i))
+                    << pool->threadCount() << " threads, cell " << i;
+        }
+    }
+
+    Dataset ds = smallDataset();
+    for (const auto &[mode, name] : modes) {
+        if (mode == FieldMode::Decoupled)
+            continue;
+        SCOPED_TRACE(name);
+        const FieldConfig fcfg = smallField(mode);
+        TrainConfig base;
+        base.raysPerBatch = 32;
+        base.samplesPerRay = 16;
+        base.useOccupancyGrid = true;
+        base.occupancyUpdatePeriod = 2;
+        base.occupancy.resolution = 8;
+        base.occupancy.decay = 0.5f;
+        const int iters = 12;
+
+        std::vector<double> ref_losses;
+        std::vector<float> ref_params;
+        for (int threads : {1, 2, 8}) {
+            TrainConfig tcfg = base;
+            tcfg.numThreads = threads;
+            Trainer t(ds, fcfg, tcfg);
+            for (int i = 0; i < iters; i++) {
+                const double loss = t.trainIteration().loss;
+                if (threads == 1)
+                    ref_losses.push_back(loss);
+                else
+                    ASSERT_EQ(loss, ref_losses[i])
+                        << threads << " threads, iteration " << i;
+            }
+            std::vector<float> params = allParams(t);
+            if (threads == 1) {
+                ref_params = params;
+                EXPECT_LT(t.occupancyGrid()->occupiedFraction(), 1.0);
+                continue;
+            }
+            ASSERT_EQ(params.size(), ref_params.size());
+            for (size_t i = 0; i < params.size(); i++)
+                ASSERT_EQ(params[i], ref_params[i])
+                    << threads << " threads, param " << i;
+        }
+    }
 }
 
 } // namespace
