@@ -88,6 +88,7 @@ struct ModeResult
     int iterations = 0;
     double seconds = 0.0;        //!< Hot-path iterations only.
     double updateSeconds = 0.0;  //!< Occupancy-refresh iterations.
+    int updates = 0;             //!< Refresh iterations timed.
     double raysPerSec = 0.0;
     double pointsPerSec = 0.0;
     double pointsPerSecEffective = 0.0;
@@ -293,6 +294,7 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
                 double dt = now() - t0;
                 if (is_update) {
                     results[m].updateSeconds += dt;
+                    results[m].updates++;
                 } else {
                     results[m].seconds += dt;
                     results[m].iterations++;
@@ -489,7 +491,8 @@ main(int argc, char **argv)
             "    {\"mode\": \"%s\", \"backend\": \"%s\", "
             "\"threads\": %d, "
             "\"iterations\": %d, \"seconds\": %.4f, "
-            "\"occ_update_seconds\": %.4f, "
+            "\"occ_update_seconds\": %.4f, \"occ_updates\": %d, "
+            "\"occ_update_ms_per_refresh\": %.3f, "
             "\"rays_per_s\": %.1f, \"points_per_s\": %.1f, "
             "\"points_per_s_effective\": %.1f, "
             "\"occupied_fraction\": %.4f, "
@@ -498,7 +501,9 @@ main(int argc, char **argv)
             "     \"phases\": {",
             r.mode.c_str(), r.backend.c_str(), r.threads,
             r.iterations, r.seconds,
-            r.updateSeconds, r.raysPerSec, r.pointsPerSec,
+            r.updateSeconds, r.updates,
+            r.updates ? r.updateSeconds * 1e3 / r.updates : 0.0,
+            r.raysPerSec, r.pointsPerSec,
             r.pointsPerSecEffective, r.occupiedFraction,
             r.sparseEntriesPerIter,
             r.sparseActiveEntries);

@@ -33,18 +33,20 @@ void warn(const std::string &msg);
 
 /**
  * Assert-like invariant check that survives NDEBUG builds.
- * Calls panic() with the given message when the condition is false.
+ * Calls panic() with the given message when the condition is true.
+ * The message is a plain C string so that a passing check builds no
+ * std::string: hot loops call this once per sample or entry.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, const char *msg)
 {
     if (condition)
         panic(msg);
 }
 
-/** fatal() when the condition holds. */
+/** fatal() when the condition holds; allocates only when it does. */
 inline void
-fatalIf(bool condition, const std::string &msg)
+fatalIf(bool condition, const char *msg)
 {
     if (condition)
         fatal(msg);

@@ -104,20 +104,21 @@ void
 KernelBackend::hashScatterSample(const uint32_t *addrs,
                                  const float *weights, const float *d_out,
                                  int levels, int fpe, uint32_t table_size,
-                                 float *grad,
-                                 std::vector<uint32_t> *touched) const
+                                 float *grad, uint64_t *touched) const
 {
+    const size_t entry_words =
+        touchEntryWords(static_cast<size_t>(levels) * table_size);
     for (int l = 0; l < levels; l++) {
         for (int corner = 0; corner < 8; corner++) {
             const size_t slot = static_cast<size_t>(l) * 8 + corner;
             const float wc = weights[slot];
-            const size_t off =
-                (static_cast<size_t>(l) * table_size + addrs[slot]) *
-                fpe;
+            const size_t entry =
+                static_cast<size_t>(l) * table_size + addrs[slot];
+            const size_t off = entry * fpe;
             for (int f = 0; f < fpe; f++)
                 grad[off + f] += wc * d_out[l * fpe + f];
             if (touched)
-                touched->push_back(static_cast<uint32_t>(off));
+                markTouched(touched, entry_words, entry);
         }
     }
 }

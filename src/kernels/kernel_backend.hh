@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/vec3.hh"
 #include "common/workspace.hh"
@@ -135,15 +134,17 @@ class KernelBackend
     /**
      * Gradient scatter of one sample's recorded corner slice into a
      * gradient table: grad[(l*T + addr)*fpe + f] += w * d_out[l*fpe+f]
-     * per corner in (level, corner) ascending order, appending each
-     * entry's base offset to `touched` when non-null.
+     * per corner in (level, corner) ascending order. When `touched` is
+     * non-null it is a touch bitmap over the table's levels * T
+     * entries (touchBitmapWords), and every corner marks entry
+     * l*T + addr in it (markTouched), whatever its gradient, so a
+     * repeated write costs two ORs.
      */
     virtual void hashScatterSample(const uint32_t *addrs,
                                    const float *weights,
                                    const float *d_out, int levels,
                                    int fpe, uint32_t table_size,
-                                   float *grad,
-                                   std::vector<uint32_t> *touched) const;
+                                   float *grad, uint64_t *touched) const;
 
     // ------------------------------------------------ optimizer
     /**
@@ -190,6 +191,39 @@ class KernelBackend
                                    float *d_sigma, Vec3 *d_rgb,
                                    uint8_t *skip) const;
 };
+
+/**
+ * A touch bitmap over n table entries is two levels in one array:
+ * touchEntryWords(n) words with bit e set when entry e was written,
+ * then one summary bit per entry word, set when that word may be
+ * nonzero, so a reader visits only the words that were written.
+ */
+inline size_t
+touchEntryWords(size_t entries)
+{
+    return (entries + 63) / 64;
+}
+
+/** Total words of a touch bitmap over `entries` entries. */
+inline size_t
+touchBitmapWords(size_t entries)
+{
+    const size_t words = touchEntryWords(entries);
+    return words + (words + 63) / 64;
+}
+
+/**
+ * Mark `entry` in a touch bitmap whose entry level is `entry_words`
+ * words long. Both grid scatter paths (hashScatterSample and the
+ * traced reference loop in HashEncoding) mark their entries through
+ * this.
+ */
+inline void
+markTouched(uint64_t *bits, size_t entry_words, size_t entry)
+{
+    bits[entry >> 6] |= uint64_t{1} << (entry & 63);
+    bits[entry_words + (entry >> 12)] |= uint64_t{1} << ((entry >> 6) & 63);
+}
 
 /**
  * The process-wide simd backend: what every kernel class runs until a

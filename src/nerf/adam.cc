@@ -1,13 +1,22 @@
 #include "nerf/adam.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
-#include <limits>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "kernels/kernel_backend.hh"
 
 namespace instant3d {
+
+namespace {
+
+/** activeBits words per sparse-sweep block: 1,024 table entries. */
+constexpr size_t sweepBlockWords = 16;
+
+} // namespace
 
 Adam::Adam(size_t num_params, const AdamConfig &config)
     : cfg(config)
@@ -130,7 +139,7 @@ Adam::applyStep(float &p, float &m_i, float &v_i, float g) const
 void
 Adam::stepSparse(std::vector<float> &params,
                  const std::vector<float> &grads,
-                 const std::vector<uint32_t> &touched)
+                 const std::vector<uint32_t> &touched, ThreadPool *pool)
 {
     panicIf(params.size() != m.size() || grads.size() != m.size(),
             "Adam::stepSparse() size mismatch");
@@ -153,61 +162,81 @@ Adam::stepSparse(std::vector<float> &params,
         }
     }
 
-    // One ascending sweep over the active set: the gradient step for
-    // touched entries (replaying any owed zero-gradient steps first),
-    // the zero-gradient decay step for the rest. Every m/v/param/grad
-    // access is in ascending address order, so the sweep streams
-    // through memory the same way the dense loop does -- just over the
-    // active fraction of the table instead of all of it. Parameters
-    // are exactly on the dense trajectory when this returns.
-    size_t retired = 0;
-    for (size_t w = 0; w < activeBits.size(); w++) {
-        uint64_t word = activeBits[w];
-        if (!word)
-            continue;
-        const uint64_t tword = touchedBits[w];
-        touchedBits[w] = 0;
-        uint64_t keep = word;
-        do {
-            const int b = std::countr_zero(word);
-            word &= word - 1;
-            const size_t entry = (w << 6) + static_cast<size_t>(b);
-            const uint64_t last = lastStep[entry];
-            bool retire;
-            if ((tword >> b) & 1) {
-                retire = true;
-                for (uint32_t f = 0; f < span; f++) {
-                    const size_t i = entry * span + f;
-                    lazyReplay(params[i], m[i], v[i], last, t - 1);
-                    retire &= applyStep(params[i], m[i], v[i], grads[i]);
+    // One ascending sweep over the active set, in fixed blocks of
+    // bitmap words: the gradient step for touched entries (replaying
+    // any owed zero-gradient steps first), the zero-gradient decay step
+    // for the rest. Every m/v/param/grad access is in ascending address
+    // order, so a block streams through memory the same way the dense
+    // loop does -- just over the active fraction of the table instead
+    // of all of it. Entries are independent and a block writes only its
+    // own words and entries, so blocks may run on any thread in any
+    // order. Parameters are exactly on the dense trajectory when this
+    // returns.
+    std::atomic<size_t> retired{0};
+    auto sweep_block = [&](int block, int) {
+        const size_t w_begin = static_cast<size_t>(block) * sweepBlockWords;
+        const size_t w_end =
+            std::min(w_begin + sweepBlockWords, activeBits.size());
+        size_t block_retired = 0;
+        for (size_t w = w_begin; w < w_end; w++) {
+            uint64_t word = activeBits[w];
+            if (!word)
+                continue;
+            const uint64_t tword = touchedBits[w];
+            touchedBits[w] = 0;
+            uint64_t keep = word;
+            do {
+                const int b = std::countr_zero(word);
+                word &= word - 1;
+                const size_t entry = (w << 6) + static_cast<size_t>(b);
+                const uint64_t last = lastStep[entry];
+                bool retire;
+                if ((tword >> b) & 1) {
+                    retire = true;
+                    for (uint32_t f = 0; f < span; f++) {
+                        const size_t i = entry * span + f;
+                        lazyReplay(params[i], m[i], v[i], last, t - 1);
+                        retire &=
+                            applyStep(params[i], m[i], v[i], grads[i]);
+                    }
+                } else if (last == t - 1) {
+                    // Fast path (the steady-state case): one
+                    // zero-gradient step with the current bias
+                    // corrections -- identical values to
+                    // bc1Hist[t - 1], no history gather.
+                    retire = true;
+                    for (uint32_t f = 0; f < span; f++) {
+                        const size_t i = entry * span + f;
+                        retire &= applyStep(params[i], m[i], v[i], 0.0f);
+                    }
+                } else {
+                    // Unreachable by construction: an entry enters the
+                    // active set only via a touch (first branch) and
+                    // every sweep stamps all active entries to t, so an
+                    // untouched active entry is always settled through
+                    // t - 1. Deferred multi-step replays happen only on
+                    // the re-touch of a *retired* entry, in branch one.
+                    panic("active entry fell behind the sweep");
                 }
-            } else if (last == t - 1) {
-                // Fast path (the steady-state case): one zero-gradient
-                // step with the current bias corrections -- identical
-                // values to bc1Hist[t - 1], no history gather.
-                retire = true;
-                for (uint32_t f = 0; f < span; f++) {
-                    const size_t i = entry * span + f;
-                    retire &= applyStep(params[i], m[i], v[i], 0.0f);
+                lastStep[entry] = t;
+                if (retire) {
+                    keep &= ~(1ull << b);
+                    block_retired++;
                 }
-            } else {
-                // Unreachable by construction: an entry enters the
-                // active set only via a touch (first branch) and every
-                // sweep stamps all active entries to t, so an
-                // untouched active entry is always settled through
-                // t - 1. Deferred multi-step replays happen only on
-                // the re-touch of a *retired* entry, in branch one.
-                panic("active entry fell behind the sweep");
-            }
-            lastStep[entry] = t;
-            if (retire) {
-                keep &= ~(1ull << b);
-                retired++;
-            }
-        } while (word);
-        activeBits[w] = keep;
+            } while (word);
+            activeBits[w] = keep;
+        }
+        retired.fetch_add(block_retired, std::memory_order_relaxed);
+    };
+    const int blocks = static_cast<int>(
+        (activeBits.size() + sweepBlockWords - 1) / sweepBlockWords);
+    if (pool && pool->threadCount() > 1 && blocks > 1) {
+        pool->parallelFor(blocks, sweep_block);
+    } else {
+        for (int b = 0; b < blocks; b++)
+            sweep_block(b, 0);
     }
-    activeCount -= retired;
+    activeCount -= retired.load(std::memory_order_relaxed);
 }
 
 void

@@ -43,6 +43,7 @@
 namespace instant3d {
 
 class KernelBackend;
+class ThreadPool;
 
 /** Adam hyper-parameters. */
 struct AdamConfig
@@ -81,19 +82,24 @@ class Adam
     bool sparseEnabled() const { return sparse; }
 
     /**
-     * Apply one sparse Adam step: advances the step count, then sweeps
-     * the active set once in ascending entry order -- the gradient
-     * update for the entries listed in `touched` (duplicates ignored;
-     * any zero-gradient steps an entry missed while retired are
-     * replayed first), the zero-gradient decay update for the rest.
+     * Apply one sparse Adam step: advances the step count, marks the
+     * entries listed in `touched` (duplicates ignored, any order), then
+     * sweeps the active set once -- the gradient update for the touched
+     * entries (any zero-gradient steps an entry missed while retired
+     * are replayed first), the zero-gradient decay update for the rest.
+     * The sweep runs in fixed blocks of entries, spread over `pool`
+     * when it has more than one thread and inline otherwise. Entries
+     * are independent, so the result is the same either way.
      * Parameters are exactly on the dense trajectory when this
      * returns; entries outside the active set owe only bit-exact
      * no-ops. grads must be zero outside the touched entries for the
-     * dense-equivalence contract to hold.
+     * dense-equivalence contract to hold. Not safe to call from a task
+     * of `pool`.
      */
     void stepSparse(std::vector<float> &params,
                     const std::vector<float> &grads,
-                    const std::vector<uint32_t> &touched);
+                    const std::vector<uint32_t> &touched,
+                    ThreadPool *pool = nullptr);
 
     /**
      * Settle any updates owed to params so they equal the dense-Adam
@@ -117,8 +123,8 @@ class Adam
     /**
      * Route the dense step through the given kernel backend's
      * adamDenseStep kernel; nullptr means simd. Safe to change between
-     * steps. The sparse sweep is a plain serial loop that no backend
-     * replaces.
+     * steps. The sparse sweep is a block loop of its own that no
+     * backend replaces.
      */
     void setKernelBackend(const KernelBackend *backend)
     { kernelBackend = backend; }

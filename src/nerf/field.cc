@@ -1,11 +1,23 @@
 #include "nerf/field.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "kernels/kernel_backend.hh"
 
 namespace instant3d {
+
+namespace {
+
+/** Bitmap words per reduce task: 1,024 table entries. A block's
+ *  summary bits lie within one summary word. */
+constexpr size_t reduceBlockWords = 16;
+static_assert(64 % reduceBlockWords == 0);
+
+} // namespace
 
 float
 softplus(float x)
@@ -444,8 +456,10 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                                 : densityGridPtr->grads().data();
         float *g_cgrid = target ? target->colorGrid.v.data()
                                 : colorGridPtr->grads().data();
-        auto *t_dgrid = target ? &target->densityGrid.touched : nullptr;
-        auto *t_cgrid = target ? &target->colorGrid.touched : nullptr;
+        uint64_t *t_dgrid =
+            target ? target->densityGrid.touched.data() : nullptr;
+        uint64_t *t_cgrid =
+            target ? target->colorGrid.touched.data() : nullptr;
 
         const int cin = colorGridPtr->outputDim() + dirEncodingDim;
         float *d_col_in = ws.alloc<float>(cin);
@@ -485,11 +499,11 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                         ? nullptr
                         : ws.alloc<float>(densityGridPtr->outputDim());
     float *g_dgrid = nullptr;
-    std::vector<uint32_t> *t_dgrid = nullptr;
+    uint64_t *t_dgrid = nullptr;
     if (cfg.mode != FieldMode::Vanilla) {
         g_dgrid = target ? target->densityGrid.v.data()
                          : densityGridPtr->grads().data();
-        t_dgrid = target ? &target->densityGrid.touched : nullptr;
+        t_dgrid = target ? target->densityGrid.touched.data() : nullptr;
     }
 
     for (int i = 0; i < count; i++) {
@@ -524,15 +538,13 @@ void
 NerfField::prepareGradients(FieldGradients &g) const
 {
     auto prep_sparse = [](GradShard &s, size_t size, uint32_t span) {
-        s.dense = false;
-        s.span = span;
         if (s.v.size() != size)
             s.v.assign(size, 0.0f);
-        s.touched.clear();
+        const size_t words = touchBitmapWords(size / span);
+        if (s.touched.size() != words)
+            s.touched.assign(words, 0ull);
     };
     auto prep_dense = [](GradShard &s, size_t size) {
-        s.dense = true;
-        s.span = 1;
         if (s.v.size() != size)
             s.v.assign(size, 0.0f);
         s.touched.clear();
@@ -553,21 +565,6 @@ NerfField::prepareGradients(FieldGradients &g) const
 }
 
 void
-NerfField::noteDirty(DirtySet &set, const std::vector<uint32_t> &touched,
-                     uint32_t span) const
-{
-    for (uint32_t off : touched) {
-        const uint32_t entry = off / span;
-        uint64_t &word = set.bits[entry >> 6];
-        const uint64_t bit = 1ull << (entry & 63);
-        if (!(word & bit)) {
-            word |= bit;
-            set.entries.push_back(off);
-        }
-    }
-}
-
-void
 NerfField::resetDirty(DirtySet &set)
 {
     // The bitmap is one bit per table entry, so the per-iteration
@@ -585,6 +582,7 @@ NerfField::setDirtyTracking(bool enable)
         return;
     auto init = [](DirtySet &set, size_t grads_size, uint32_t span) {
         set.bits.assign((grads_size / span + 63) / 64, 0ull);
+        set.fresh.assign(set.bits.size(), 0ull);
         set.entries.clear();
     };
     if (densityGridPtr) {
@@ -632,37 +630,132 @@ NerfField::zeroGradDirty()
 }
 
 void
-NerfField::reduceGradients(FieldGradients &g)
+NerfField::reduceGradients(std::span<FieldGradients> shards,
+                           ThreadPool *pool)
 {
-    const KernelBackend &kb = resolveBackend(kernelBackend);
-    auto reduce_sparse = [](GradShard &s, std::vector<float> &dst) {
-        for (uint32_t off : s.touched) {
-            for (uint32_t f = 0; f < s.span; f++) {
-                dst[off + f] += s.v[off + f];
-                s.v[off + f] = 0.0f;
+    // The grid groups: one task per fixed block of bitmap words of one
+    // group, tasks of the density grid first.
+    struct SparseGroup
+    {
+        GradShard FieldGradients::*shard = nullptr;
+        float *dst = nullptr;
+        DirtySet *dirty = nullptr; //!< null without dirty tracking.
+        uint32_t span = 1;
+        size_t words = 0;
+        int firstTask = 0;
+    };
+    SparseGroup groups[2];
+    int num_groups = 0;
+    int num_tasks = 0;
+    auto add_group = [&](HashEncoding *grid,
+                         GradShard FieldGradients::*shard,
+                         DirtySet &dirty) {
+        if (!grid)
+            return;
+        SparseGroup &g = groups[num_groups++];
+        g.shard = shard;
+        g.dst = grid->grads().data();
+        g.dirty = trackDirty ? &dirty : nullptr;
+        g.span = static_cast<uint32_t>(grid->config().featuresPerEntry);
+        g.words = touchEntryWords(grid->grads().size() / g.span);
+        g.firstTask = num_tasks;
+        num_tasks += static_cast<int>((g.words + reduceBlockWords - 1) /
+                                      reduceBlockWords);
+    };
+    add_group(densityGridPtr.get(), &FieldGradients::densityGrid,
+              dirtyDensity);
+    add_group(colorGridPtr.get(), &FieldGradients::colorGrid, dirtyColor);
+
+    // Each task reads and clears only its own entry words of every
+    // shard's bitmap (the summary words are only read), adds only their
+    // entries, and writes only its own words of the dirty bitmaps, so
+    // tasks are independent. The shards run in ascending order, which
+    // is each entry's add order.
+    constexpr uint64_t block_mask = (uint64_t{1} << reduceBlockWords) - 1;
+    auto run_block = [&](int task, int) {
+        const SparseGroup &g =
+            num_groups == 2 && task >= groups[1].firstTask ? groups[1]
+                                                           : groups[0];
+        const size_t w_begin =
+            static_cast<size_t>(task - g.firstTask) * reduceBlockWords;
+        const size_t w_end = std::min(w_begin + reduceBlockWords, g.words);
+        uint64_t any[reduceBlockWords] = {};
+        for (FieldGradients &fg : shards) {
+            GradShard &s = fg.*g.shard;
+            if (s.touched.empty())
+                continue; // not prepared as a grid shard
+            uint64_t *bits = s.touched.data();
+            float *v = s.v.data();
+            uint64_t live = (bits[g.words + (w_begin >> 6)] >>
+                             (w_begin & 63)) & block_mask;
+            while (live) {
+                const size_t w =
+                    w_begin + static_cast<size_t>(std::countr_zero(live));
+                live &= live - 1;
+                uint64_t word = bits[w];
+                any[w - w_begin] |= word;
+                bits[w] = 0;
+                while (word) {
+                    const int b = std::countr_zero(word);
+                    word &= word - 1;
+                    const size_t e = (w << 6) + static_cast<size_t>(b);
+                    for (size_t i = e * g.span; i < (e + 1) * g.span; i++) {
+                        g.dst[i] += v[i];
+                        v[i] = 0.0f;
+                    }
+                }
             }
         }
-        s.touched.clear();
+        if (!g.dirty)
+            return;
+        for (size_t w = w_begin; w < w_end; w++) {
+            g.dirty->fresh[w] = any[w - w_begin] & ~g.dirty->bits[w];
+            g.dirty->bits[w] |= any[w - w_begin];
+        }
     };
-    auto reduce_dense = [&kb](GradShard &s, std::vector<float> &dst) {
-        kb.reduceDense(dst.data(), s.v.data(), s.v.size());
-    };
+    if (pool && pool->threadCount() > 1 && num_tasks > 1) {
+        pool->parallelFor(num_tasks, run_block);
+    } else {
+        for (int t = 0; t < num_tasks; t++)
+            run_block(t, 0);
+    }
+    for (int i = 0; i < num_groups; i++) {
+        for (FieldGradients &fg : shards) {
+            std::vector<uint64_t> &bits = (fg.*groups[i].shard).touched;
+            if (!bits.empty())
+                std::fill(bits.begin() + groups[i].words, bits.end(), 0ull);
+        }
+    }
 
-    if (densityGridPtr && !g.densityGrid.v.empty()) {
-        if (trackDirty)
-            noteDirty(dirtyDensity, g.densityGrid.touched,
-                      g.densityGrid.span);
-        reduce_sparse(g.densityGrid, densityGridPtr->grads());
+    // Newly dirtied entries join the dirty lists in ascending order.
+    for (int i = 0; i < num_groups; i++) {
+        DirtySet *dirty = groups[i].dirty;
+        if (!dirty)
+            continue;
+        for (size_t w = 0; w < groups[i].words; w++) {
+            uint64_t word = dirty->fresh[w];
+            if (!word)
+                continue;
+            dirty->fresh[w] = 0;
+            do {
+                const int b = std::countr_zero(word);
+                word &= word - 1;
+                const size_t e = (w << 6) + static_cast<size_t>(b);
+                dirty->entries.push_back(
+                    static_cast<uint32_t>(e * groups[i].span));
+            } while (word);
+        }
     }
-    if (colorGridPtr && !g.colorGrid.v.empty()) {
-        if (trackDirty)
-            noteDirty(dirtyColor, g.colorGrid.touched, g.colorGrid.span);
-        reduce_sparse(g.colorGrid, colorGridPtr->grads());
+
+    const KernelBackend &kb = resolveBackend(kernelBackend);
+    for (FieldGradients &fg : shards) {
+        if (!fg.densityMlp.v.empty())
+            kb.reduceDense(densityMlpPtr->grads().data(),
+                           fg.densityMlp.v.data(), fg.densityMlp.v.size());
+        if (!fg.colorMlp.v.empty())
+            kb.reduceDense(colorMlpPtr->grads().data(),
+                           fg.colorMlp.v.data(), fg.colorMlp.v.size());
     }
-    if (!g.densityMlp.v.empty())
-        reduce_dense(g.densityMlp, densityMlpPtr->grads());
-    if (!g.colorMlp.v.empty())
-        reduce_dense(g.colorMlp, colorMlpPtr->grads());
 }
 
 void

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 namespace instant3d {
 
 class KernelBackend;
+class ThreadPool;
 
 /** Which architecture the field instantiates. */
 enum class FieldMode
@@ -129,20 +131,27 @@ struct RaySpan
 };
 
 /**
- * One parameter group's gradient shard: a full-size accumulator plus a
- * sparse touch list so reduction only visits written entries. Dense
- * shards (MLPs, where every sample touches every weight) skip the
- * touch list and are reduced by a full scan.
+ * One parameter group's gradient shard: a full-size accumulator plus,
+ * for a grid group, a touch bitmap over the table's entries, so the
+ * reduction visits only written entries. Every scatter into the shard
+ * marks its entry, however often the entry is written. Dense shards
+ * (MLPs, where every sample touches every weight) have no bitmap and
+ * are reduced by a full scan.
  *
- * Invariant for sparse shards: `v` is all-zero outside the entries
- * listed in `touched`; reduceInto() restores the all-zero state.
+ * Invariant for sparse shards: `v` is all-zero outside the marked
+ * entries, and NerfField::reduceGradients() restores the all-zero
+ * state of both `v` and `touched`. prepareGradients() only sizes
+ * them, so a shard prepared but never reduced keeps its marks and
+ * values.
  */
 struct GradShard
 {
     std::vector<float> v;
-    std::vector<uint32_t> touched; //!< Base offsets; entries span `span`.
-    uint32_t span = 1;             //!< Floats per touched entry.
-    bool dense = false;
+    /** Touch bitmap (touchBitmapWords in kernels/kernel_backend.hh):
+     *  one bit per entry, entry e covering floats [e * F, (e + 1) * F)
+     *  of `v` with F the grid's featuresPerEntry, then one summary bit
+     *  per entry word. Empty for dense shards. */
+    std::vector<uint64_t> touched;
 };
 
 /**
@@ -252,20 +261,33 @@ class NerfField
                         FieldGradients *target, Workspace &ws);
 
     /**
-     * Size `g` to this field's parameter groups and clear it for a new
-     * iteration. Sparse (grid) shards rely on the reduce-restores-zero
-     * invariant, so per-iteration clearing is O(touched), not O(table).
+     * Size `g` to this field's parameter groups for a new iteration.
+     * Sparse (grid) shards rely on the reduce-restores-zero invariant,
+     * so they are written only when their size changes.
      */
     void prepareGradients(FieldGradients &g) const;
 
     /**
-     * Add a shard set into the field's real gradient buffers and
-     * restore the shard's cleared state. Called once per chunk in fixed
-     * chunk order by the trainer. With dirty tracking enabled, each
-     * shard's grid touch lists are unioned (stamp-deduplicated) into
-     * the per-group dirty lists consumed by the sparse optimizer.
+     * Add a set of shards into the field's real gradient buffers and
+     * restore each shard's cleared state. Every entry takes its
+     * shards' values in ascending shard order, so the result does not
+     * depend on the pool or its thread count.
+     *
+     * The grid groups are reduced in one pass over fixed blocks of
+     * bitmap words, spread over `pool` when it has more than one
+     * thread and run inline otherwise (null pool included). No task
+     * touches a trace sink, so a traced iteration may pass its pool.
+     * With dirty tracking enabled, the newly touched entries are
+     * appended to the per-group dirty lists in ascending entry order.
+     * The MLP shards are reduced serially in shard order. Not safe to
+     * call from a task of `pool`.
      */
-    void reduceGradients(FieldGradients &g);
+    void reduceGradients(std::span<FieldGradients> shards,
+                         ThreadPool *pool);
+
+    /** The one-shard, inline case of the call above. */
+    void reduceGradients(FieldGradients &g)
+    { reduceGradients(std::span<FieldGradients>(&g, 1), nullptr); }
 
     /**
      * Track the union of touched grid entries across reduceGradients()
@@ -277,9 +299,11 @@ class NerfField
 
     /**
      * Unique entry base offsets of a grid group written since the last
-     * zeroGrad/zeroGradDirty (first-touch order over the fixed chunk
-     * reduction order, hence deterministic). Only grid groups have
-     * dirty lists; panics for MLP groups.
+     * zeroGrad/zeroGradDirty. Each reduceGradients() call appends the
+     * entries it newly dirtied in ascending order, so the list is
+     * deterministic; its consumers (Adam::stepSparse, zeroGradDirty)
+     * do not depend on the order. Only grid groups have dirty lists;
+     * panics for MLP groups.
      */
     const std::vector<uint32_t> &dirtyEntries(ParamGroupId id) const;
 
@@ -343,14 +367,16 @@ class NerfField
   private:
     /**
      * One grid group's dirty-entry set: the unique touched entries plus
-     * a membership bitmap (cache-resident: one bit per table entry) for
-     * O(1) deduplication while shard touch lists (which repeat offsets
-     * per scatter) are unioned.
+     * a membership bitmap (one bit per table entry) that the reduce
+     * ORs each block of shard bitmap words into.
      */
     struct DirtySet
     {
         std::vector<uint32_t> entries; //!< Unique base offsets.
         std::vector<uint64_t> bits;    //!< Per-entry membership bit.
+        std::vector<uint64_t> fresh;   //!< Bits newly set by the running
+                                       //!< reduce call; all-zero between
+                                       //!< calls.
     };
 
     /**
@@ -361,8 +387,6 @@ class NerfField
     float *encodeTrunk(const Vec3 *pts, int n, EncodeBatchRecord *rec,
                        Workspace &ws);
 
-    void noteDirty(DirtySet &set, const std::vector<uint32_t> &touched,
-                   uint32_t span) const;
     static void resetDirty(DirtySet &set);
 
     FieldConfig cfg;

@@ -221,8 +221,7 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
 void
 HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
                           const float *d_out, float *grad,
-                          std::vector<uint32_t> *touched,
-                          TraceSink *sink) const
+                          uint64_t *touched, TraceSink *sink) const
 {
     const int fpe = cfg.featuresPerEntry;
 
@@ -236,6 +235,8 @@ HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
         return;
     }
 
+    const size_t entry_words = touchEntryWords(
+        static_cast<size_t>(cfg.numLevels) * cfg.tableSize());
     for (int l = 0; l < cfg.numLevels; l++) {
         for (int corner = 0; corner < 8; corner++) {
             size_t slot = static_cast<size_t>(l) * 8 + corner;
@@ -245,7 +246,9 @@ HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
             for (int f = 0; f < fpe; f++)
                 grad[off + f] += w * d_out[l * fpe + f];
             if (touched)
-                touched->push_back(static_cast<uint32_t>(off));
+                markTouched(touched, entry_words,
+                            static_cast<size_t>(l) * cfg.tableSize() +
+                                addr);
             sink->record({addr, static_cast<uint16_t>(l),
                           static_cast<uint8_t>(corner), true, 0});
         }
@@ -267,7 +270,7 @@ HashEncoding::backward(const EncodeRecord &rec, const float *d_out)
 void
 HashEncoding::backwardSample(const EncodeBatchRecord &rec, int s,
                              const float *d_out, float *grad,
-                             std::vector<uint32_t> *touched)
+                             uint64_t *touched)
 {
     panicIf(s < 0 || s >= rec.n, "sample index outside batch record");
     const size_t slots = static_cast<size_t>(cfg.numLevels) * 8;

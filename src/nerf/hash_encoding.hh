@@ -127,15 +127,17 @@ class HashEncoding
 
     /**
      * Backward of sample s from a batch record into an external
-     * gradient table `grad` (same shape as grads()). Appends the base
-     * offset of every touched entry to `touched` when non-null (entries
-     * span featuresPerEntry consecutive floats) -- the sparse touch
-     * list lets the trainer reduce per-thread gradient shards without
-     * scanning whole tables. Trace records go to the attached sink.
+     * gradient table `grad` (same shape as grads()). When `touched` is
+     * non-null it is a touch bitmap over the numLevels * T entries
+     * (touchBitmapWords in kernels/kernel_backend.hh; entry e spans
+     * floats [e * featuresPerEntry, (e + 1) * featuresPerEntry)), and
+     * every entry this sample writes is marked in it, so the trainer
+     * reduces a gradient shard by visiting only its written words.
+     * Trace records go to the attached sink.
      */
     void backwardSample(const EncodeBatchRecord &rec, int s,
                         const float *d_out, float *grad,
-                        std::vector<uint32_t> *touched);
+                        uint64_t *touched);
 
     /** Trainable parameters, length numLevels * T * F. */
     std::vector<float> &params() { return table; }
@@ -229,10 +231,10 @@ class HashEncoding
     void levelCorners(const Vec3 &q, int level, uint32_t *addr8,
                       float *w8) const;
 
-    /** Shared backward kernel over recorded address/weight slices. */
+    /** Shared backward kernel over recorded address/weight slices;
+     *  `touched` as in backwardSample(). */
     void backwardOne(const uint32_t *addrs, const float *ws,
-                     const float *d_out, float *grad,
-                     std::vector<uint32_t> *touched,
+                     const float *d_out, float *grad, uint64_t *touched,
                      TraceSink *sink) const;
 
     HashEncodingConfig cfg;

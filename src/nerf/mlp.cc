@@ -254,19 +254,6 @@ Mlp::backwardSample(const MlpBatchRecord &rec, int s, const float *d_out,
 }
 
 void
-Mlp::backwardBatch(const MlpBatchRecord &rec, const float *d_out,
-                   float *d_in, float *grad, Workspace &ws) const
-{
-    for (int s = 0; s < rec.n; s++) {
-        backwardSample(rec, s,
-                       d_out + static_cast<size_t>(s) * dims.back(),
-                       d_in ? d_in + static_cast<size_t>(s) * dims.front()
-                            : nullptr,
-                       grad, ws);
-    }
-}
-
-void
 Mlp::zeroGrad()
 {
     std::fill(gradWeights.begin(), gradWeights.end(), 0.0f);

@@ -92,9 +92,9 @@ class Mlp
      * allocation. Per-sample arithmetic is identical to forward(), so
      * outputs match the scalar path bit-exactly.
      *
-     * @param rec  If non-null, filled with arena-backed buffers for a
-     *             later backwardBatch()/backwardSample(); stays valid
-     *             until ws.reset().
+     * @param rec  If non-null, filled with arena-backed buffers for
+     *             later backwardSample() calls; stays valid until
+     *             ws.reset().
      */
     void forwardBatch(const float *in, int n, float *out,
                       MlpBatchRecord *rec, Workspace &ws) const;
@@ -113,15 +113,6 @@ class Mlp
     void backwardSample(const MlpBatchRecord &rec, int s,
                         const float *d_out, float *d_in, float *grad,
                         Workspace &ws) const;
-
-    /**
-     * Backward over the whole batch in ascending sample order: the
-     * gradient accumulation order matches calling backward() per sample
-     * sequentially, so results are bit-identical to the scalar path.
-     * d_out is n x outputDim(); d_in (optional) n x inputDim().
-     */
-    void backwardBatch(const MlpBatchRecord &rec, const float *d_out,
-                       float *d_in, float *grad, Workspace &ws) const;
 
     std::vector<float> &params() { return weights; }
     const std::vector<float> &params() const { return weights; }

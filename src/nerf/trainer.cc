@@ -261,18 +261,20 @@ Trainer::trainIteration()
         pool->parallelFor(num_chunks, run_chunk);
     }
 
-    // Deterministic reduction: shards in fixed chunk order.
+    // Deterministic reduction: every entry takes its shards in fixed
+    // chunk order, whichever pool thread reduces it. No reduce task
+    // touches a trace sink, so a traced iteration uses the pool too.
     double loss_acc = 0.0;
     {
         obs::ScopedTimer timer(ph.reduce);
-        for (int c = 0; c < num_chunks; c++) {
-            fieldPtr->reduceGradients(shards[c]);
+        fieldPtr->reduceGradients(shards, pool.get());
+        for (int c = 0; c < num_chunks; c++)
             loss_acc += chunkLoss[c];
-        }
     }
 
     // Apply optimizer steps to the branches due this iteration: sparse
-    // groups step only the dirty union the reduction just assembled.
+    // groups step only the dirty union the reduction just assembled,
+    // sweeping it over the pool.
     {
         obs::ScopedTimer timer(ph.optimizer);
         for (size_t g = 0; g < groups.size(); g++) {
@@ -290,7 +292,8 @@ Trainer::trainIteration()
                 // dense-trajectory parameters without a separate
                 // catch-up.
                 optimizers[g]->stepSparse(
-                    params, fieldPtr->groupGrads(groups[g]), dirty);
+                    params, fieldPtr->groupGrads(groups[g]), dirty,
+                    pool.get());
                 stats.sparseEntriesStepped += dirty.size();
             } else {
                 optimizers[g]->step(fieldPtr->groupParams(groups[g]),
@@ -300,7 +303,7 @@ Trainer::trainIteration()
     }
 
     // O(touched) clear when every grid scatter went through a touch
-    // list (the sparse optimizer's dirty union); full scan otherwise.
+    // bitmap (the sparse optimizer's dirty union); full scan otherwise.
     {
         obs::ScopedTimer timer(ph.zeroGrad);
         if (sparseActive)

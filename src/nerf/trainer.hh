@@ -14,10 +14,12 @@
  * Execution model: the ray batch is split into a fixed number of
  * chunks (gradShards) processed by a thread pool. Each ray draws from
  * its own RNG stream keyed by (seed, iteration, ray index), each chunk
- * accumulates gradients into its own shard, and shards are reduced
- * into the field in fixed chunk order -- so training is bit-identical
- * for any thread count. Grid trace sinks remain usable: a traced
- * iteration runs the same loop serially, chunks in order on the
+ * accumulates gradients into its own shard, and each grid entry takes
+ * its shards' values in fixed chunk order -- so training is
+ * bit-identical for any thread count. The reduce and the sparse Adam
+ * sweep also spread over the pool, in fixed blocks of table entries
+ * that no two tasks share. Grid trace sinks remain usable: a traced
+ * iteration runs the same chunk loop serially, chunks in order on the
  * calling thread and one ray per stream, so every ray's reads precede
  * its writes and the sinks see program order.
  */
@@ -79,7 +81,7 @@ struct TrainConfig
     /**
      * Step the grid parameter groups with the sparse lazy Adam: the
      * optimizer visits only the entries this iteration's scatters
-     * touched (the dirty union of the shard touch lists) plus the
+     * touched (the dirty union of the shard touch bitmaps) plus the
      * entries still carrying momentum from earlier touches, and the
      * gradient clear visits only the touched entries -- never the full
      * tables. Entries with zero momentum owe only bit-exact no-op

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "common/workspace.hh"
+#include "kernels/kernel_backend.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
 
@@ -114,8 +117,9 @@ TEST(BatchedParityTest, MlpBackwardMatchesScalarBitExact)
     mlp.forwardBatch(in.data(), n, batch_out.data(), &rec, ws);
     std::vector<float> grads(mlp.params().size(), 0.0f);
     std::vector<float> batch_d_in(static_cast<size_t>(n) * 5);
-    mlp.backwardBatch(rec, d_out.data(), batch_d_in.data(), grads.data(),
-                      ws);
+    for (int s = 0; s < n; s++)
+        mlp.backwardSample(rec, s, d_out.data() + s * 4,
+                           batch_d_in.data() + s * 5, grads.data(), ws);
 
     for (size_t i = 0; i < grads.size(); i++)
         ASSERT_EQ(grads[i], scalar_grads[i]) << "grad " << i;
@@ -173,14 +177,174 @@ TEST(BatchedParityTest, HashEncodeMatchesScalarBitExact)
         scalar_enc.backward(scalar_recs[s], d_out.data() + s * dim);
 
     std::vector<float> shard(batch_enc.grads().size(), 0.0f);
-    std::vector<uint32_t> touched;
+    const size_t entries =
+        static_cast<size_t>(cfg.numLevels) * cfg.tableSize();
+    std::vector<uint64_t> touched(touchBitmapWords(entries), 0);
     for (int s = 0; s < n; s++)
         batch_enc.backwardSample(rec, s, d_out.data() + s * dim,
-                                 shard.data(), &touched);
+                                 shard.data(), touched.data());
 
-    EXPECT_EQ(touched.size(), slots * n);
+    // The touch bitmap marks exactly the recorded corner entries: their
+    // entry bits, and the summary bits of the words holding them.
+    const size_t words = (entries + 63) / 64;
+    std::vector<uint64_t> corners(words + (words + 63) / 64, 0);
+    for (int s = 0; s < n; s++) {
+        for (size_t j = 0; j < slots; j++) {
+            const size_t entry = (j / 8) * cfg.tableSize() +
+                                 rec.addresses[s * slots + j];
+            corners[entry / 64] |= uint64_t{1} << (entry % 64);
+            corners[words + entry / 4096] |= uint64_t{1}
+                                             << (entry / 64 % 64);
+        }
+    }
+    EXPECT_EQ(touched, corners);
     for (size_t i = 0; i < shard.size(); i++)
         ASSERT_EQ(shard[i], scalar_enc.grads()[i]) << "grad " << i;
+}
+
+/**
+ * The pooled bitmap reduce adds every shard into the field in shard
+ * order, whatever the pool. Eight shards are filled through
+ * backwardStream on random streams in which a quarter of the samples
+ * carry a zero output gradient (entries touched with a zero gradient),
+ * on tables of 2^15 entries per level so that the reduce runs many
+ * blocks. The reference adds each shard's whole `v` in shard order.
+ */
+TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
+{
+    for (FieldMode mode : {FieldMode::Decoupled, FieldMode::Coupled}) {
+        HashEncodingConfig grid;
+        grid.numLevels = 4;
+        grid.featuresPerEntry = 2;
+        grid.log2TableSize = 15;
+        grid.baseResolution = 8;
+        grid.growthFactor = 1.6f;
+        FieldConfig fcfg = mode == FieldMode::Decoupled
+                               ? FieldConfig::instant3dDefault(grid)
+                               : FieldConfig::ngpBaseline(grid);
+        fcfg.hiddenDim = 16;
+        NerfField field(fcfg, 3);
+        const std::vector<ParamGroupId> groups = field.paramGroups();
+
+        // Corner entries recorded per grid group, as base offsets.
+        std::vector<uint32_t> corners[2];
+        const int num_shards = 8;
+        std::vector<FieldGradients> shards(num_shards);
+        Rng r(41 + static_cast<int>(mode));
+        Workspace ws;
+        for (int k = 0; k < num_shards; k++) {
+            field.prepareGradients(shards[k]);
+            ws.reset();
+            const int num_rays = 6;
+            RaySpan spans[num_rays];
+            Vec3 dirs[num_rays];
+            int n = 0;
+            for (int ray = 0; ray < num_rays; ray++) {
+                spans[ray] = {n, static_cast<int>(r.nextU32(13))};
+                n += spans[ray].count;
+                dirs[ray] = Vec3{r.nextFloat(-1.0f, 1.0f),
+                                 r.nextFloat(-1.0f, 1.0f), 1.0f}
+                                .normalized();
+            }
+            std::vector<Vec3> pts(n);
+            for (Vec3 &p : pts)
+                p = {r.nextFloat(), r.nextFloat(), r.nextFloat()};
+            std::vector<FieldSample> out(n);
+            FieldBatchRecord rec;
+            field.queryStream(pts.data(), n, spans, dirs, num_rays,
+                              out.data(), &rec, ws);
+
+            std::vector<float> d_sigma(n);
+            std::vector<Vec3> d_rgb(n);
+            for (int s = 0; s < n; s++) {
+                const bool zero = r.nextU32(4) == 0;
+                d_sigma[s] = zero ? 0.0f : r.nextFloat(-1.0f, 1.0f);
+                d_rgb[s] = zero ? Vec3{}
+                                : Vec3{r.nextFloat(-1.0f, 1.0f),
+                                       r.nextFloat(-1.0f, 1.0f),
+                                       r.nextFloat(-1.0f, 1.0f)};
+            }
+            field.backwardStream(rec, spans, num_rays, d_sigma.data(),
+                                 d_rgb.data(), nullptr, true, true,
+                                 &shards[k], ws);
+
+            const EncodeBatchRecord *enc[2] = {&rec.densityEnc,
+                                               &rec.colorEnc};
+            for (int gi = 0; gi < 2; gi++) {
+                if (gi == 1 && mode != FieldMode::Decoupled)
+                    break;
+                const HashEncodingConfig &gc =
+                    gi == 0 ? field.densityGrid().config()
+                            : field.colorGrid().config();
+                const size_t slots = static_cast<size_t>(gc.numLevels) * 8;
+                for (int s = 0; s < n; s++)
+                    for (size_t j = 0; j < slots; j++)
+                        corners[gi].push_back(static_cast<uint32_t>(
+                            ((j / 8) * gc.tableSize() +
+                             enc[gi]->addresses[s * slots + j]) *
+                            gc.featuresPerEntry));
+            }
+        }
+        for (auto &c : corners) {
+            std::sort(c.begin(), c.end());
+            c.erase(std::unique(c.begin(), c.end()), c.end());
+        }
+
+        // Reference: every shard's whole buffer, added in shard order.
+        auto shard_of = [](FieldGradients &g, ParamGroupId id) {
+            switch (id) {
+              case ParamGroupId::DensityGrid: return &g.densityGrid;
+              case ParamGroupId::ColorGrid: return &g.colorGrid;
+              case ParamGroupId::DensityMlp: return &g.densityMlp;
+              default: return &g.colorMlp;
+            }
+        };
+        std::vector<std::vector<float>> ref;
+        for (ParamGroupId id : groups) {
+            std::vector<float> sum(field.groupGrads(id).size(), 0.0f);
+            for (FieldGradients &g : shards) {
+                const std::vector<float> &v = shard_of(g, id)->v;
+                for (size_t i = 0; i < sum.size(); i++)
+                    sum[i] += v[i];
+            }
+            ref.push_back(std::move(sum));
+        }
+
+        for (int threads : {1, 2, 8}) {
+            ThreadPool pool(threads);
+            NerfField reduced(fcfg, 3);
+            reduced.setDirtyTracking(true);
+            std::vector<FieldGradients> copy = shards;
+            reduced.reduceGradients(copy, &pool);
+
+            for (size_t g = 0; g < groups.size(); g++) {
+                const std::vector<float> &got =
+                    reduced.groupGrads(groups[g]);
+                ASSERT_EQ(got.size(), ref[g].size());
+                ASSERT_EQ(std::memcmp(got.data(), ref[g].data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << threads << " threads, group " << g;
+            }
+            EXPECT_EQ(reduced.dirtyEntries(ParamGroupId::DensityGrid),
+                      corners[0])
+                << threads << " threads";
+            if (mode == FieldMode::Decoupled) {
+                EXPECT_EQ(reduced.dirtyEntries(ParamGroupId::ColorGrid),
+                          corners[1])
+                    << threads << " threads";
+            }
+            for (FieldGradients &g : copy) {
+                for (ParamGroupId id : groups) {
+                    const GradShard &s = *shard_of(g, id);
+                    for (float x : s.v)
+                        ASSERT_EQ(x, 0.0f) << threads << " threads";
+                    for (uint64_t w : s.touched)
+                        ASSERT_EQ(w, 0u) << threads << " threads";
+                }
+            }
+        }
+    }
 }
 
 Dataset

@@ -206,8 +206,10 @@ TEST(KernelBackendTest, MlpBatchMatchesScalarPerBackend)
                 MlpBatchRecord rec;
                 mlp.forwardBatch(in.data(), n, out.data(), &rec, ws);
                 mlp.zeroGrad();
-                mlp.backwardBatch(rec, d_out.data(), din.data(),
-                                  mlp.grads().data(), ws);
+                for (int s = 0; s < n; s++)
+                    mlp.backwardSample(rec, s, d_out.data() + s * 3,
+                                       din.data() + s * 7,
+                                       mlp.grads().data(), ws);
 
                 if (c.exact) {
                     expectBitEqual(ref_out.data(), out.data(),
@@ -289,16 +291,30 @@ TEST(KernelBackendTest, HashEncodeAndScatterMatchScalarPerBackend)
             std::vector<float> out(ref_out.size());
             EncodeBatchRecord rec;
             enc.encodeBatch(pts.data(), n, out.data(), &rec, ws);
-            std::vector<uint32_t> touched;
+            const size_t entries =
+                static_cast<size_t>(cfg.numLevels) * cfg.tableSize();
+            std::vector<uint64_t> touched(touchBitmapWords(entries), 0);
             for (int s = 0; s < n; s++)
                 enc.backwardSample(rec, s,
                                    d_out.data() +
                                        static_cast<size_t>(s) *
                                            cfg.outputDim(),
-                                   enc.grads().data(), &touched);
-            EXPECT_EQ(touched.size(),
-                      static_cast<size_t>(n) * cfg.numLevels * 8)
-                << c.label;
+                                   enc.grads().data(), touched.data());
+            // The touch bitmap marks exactly the recorded corners: their
+            // entry bits, and the summary bits of their words.
+            const size_t words = (entries + 63) / 64;
+            std::vector<uint64_t> corners(words + (words + 63) / 64, 0);
+            const size_t slots = static_cast<size_t>(cfg.numLevels) * 8;
+            for (int s = 0; s < n; s++) {
+                for (size_t j = 0; j < slots; j++) {
+                    const size_t entry = (j / 8) * cfg.tableSize() +
+                                         rec.addresses[s * slots + j];
+                    corners[entry / 64] |= uint64_t{1} << (entry % 64);
+                    corners[words + entry / 4096] |=
+                        uint64_t{1} << (entry / 64 % 64);
+                }
+            }
+            EXPECT_EQ(touched, corners) << c.label;
 
             if (c.exact) {
                 expectBitEqual(ref_out.data(), out.data(), out.size(),

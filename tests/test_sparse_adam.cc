@@ -6,7 +6,8 @@
  *  - Lazy sparse Adam replays deferred zero-gradient updates
  *    bit-exactly: on a hand-built touch pattern the sparse trajectory
  *    (with catch-up) equals the dense trajectory float-for-float,
- *    including mid-stream catch-ups and never-touched entries.
+ *    including mid-stream catch-ups and never-touched entries. The
+ *    sweep gives the same bits inline and over a pool.
  *
  *  - Trainer-level parity: sparse-optimizer training with a skipping
  *    occupancy grid is bit-identical to dense-optimizer training --
@@ -205,6 +206,78 @@ TEST(SparseAdamTest, RetirementAndLongGapReplayMatchDense)
     // some point (otherwise this test exercises nothing).
     EXPECT_GE(max_active, 5u);
     EXPECT_LE(min_active, 2u) << "retirement never engaged";
+}
+
+/**
+ * The pooled sweep is the inline sweep: RetirementAndLongGapReplay-
+ * MatchDense's schedule, repeated over 1,024 groups of 8 entries so the
+ * sweep runs many blocks, stepped inline and over pools of 2 and 8
+ * threads. Params are compared bitwise and the active-set sizes
+ * exactly after every step.
+ */
+TEST(SparseAdamTest, PooledSweepMatchesInline)
+{
+    constexpr uint32_t span = 2;
+    constexpr size_t entries = 8 * 1024;
+    constexpr size_t n = entries * span;
+    constexpr int steps = 400;
+
+    AdamConfig acfg;
+    acfg.lr = 0.05f;
+    ThreadPool pool2(2), pool8(8);
+    ThreadPool *pools[] = {nullptr, &pool2, &pool8};
+    std::vector<std::unique_ptr<Adam>> adams;
+    for (int k = 0; k < 3; k++) {
+        adams.push_back(std::make_unique<Adam>(n, acfg));
+        adams.back()->enableSparse(span);
+    }
+
+    std::vector<float> init_params(n);
+    Rng init(5);
+    for (float &p : init_params)
+        p = init.nextFloat(-1.f, 1.f);
+    std::vector<std::vector<float>> params(3, init_params);
+
+    // Entry e plays role e % 8 of the retirement test's schedule.
+    auto touched_at = [](int step) {
+        std::vector<uint32_t> t;
+        for (uint32_t e = 0; e < entries; e++) {
+            const uint32_t role = e % 8;
+            if ((step == 0 && role < 4) ||
+                ((step == 350 || step == 370 || step == 390) &&
+                 role >= 1 && role < 4) ||
+                (step % 50 == 0 && role == 4))
+                t.push_back(e * span);
+        }
+        return t;
+    };
+
+    Rng grads_rng(23);
+    size_t max_active = 0, min_active = entries;
+    for (int step = 0; step < steps; step++) {
+        const std::vector<uint32_t> touched = touched_at(step);
+        std::vector<float> grads(n, 0.0f);
+        for (uint32_t off : touched)
+            for (uint32_t f = 0; f < span; f++)
+                grads[off + f] = grads_rng.nextFloat(-1.0f, 1.0f);
+
+        for (int k = 0; k < 3; k++)
+            adams[k]->stepSparse(params[k], grads, touched, pools[k]);
+        for (int k = 1; k < 3; k++) {
+            ASSERT_EQ(std::memcmp(params[k].data(), params[0].data(),
+                                  n * sizeof(float)),
+                      0)
+                << "step " << step << ", pool " << k;
+            ASSERT_EQ(adams[k]->activeEntries(), adams[0]->activeEntries())
+                << "step " << step << ", pool " << k;
+        }
+        max_active = std::max(max_active, adams[0]->activeEntries());
+        min_active = std::min(min_active, adams[0]->activeEntries());
+    }
+    // Retirement must have engaged, so the blocks' retirement counts
+    // were summed while they changed.
+    EXPECT_GE(max_active, entries / 2);
+    EXPECT_LE(min_active, entries / 4) << "retirement never engaged";
 }
 
 TEST(SparseAdamTest, DuplicateTouchesAreIgnored)
