@@ -313,12 +313,15 @@ BM_SparseAdamStep(benchmark::State &state)
     }
     std::vector<float> params(n, 0.1f);
     std::vector<float> grads(n, 0.0f);
-    for (uint32_t off : touched)
+    std::vector<uint64_t> bits(touchEntryWords(entries), 0);
+    for (uint32_t off : touched) {
         for (uint32_t f = 0; f < span; f++)
             grads[off + f] = r.nextFloat(-1.0f, 1.0f);
+        bits[off / span / 64] |= uint64_t{1} << (off / span % 64);
+    }
 
     for (auto _ : state) {
-        adam.stepSparse(params, grads, touched);
+        adam.stepSparse(params, grads, bits);
         adam.catchUp(params);
         benchmark::DoNotOptimize(params.data());
     }

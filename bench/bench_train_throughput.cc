@@ -135,14 +135,20 @@ quickstartWorkload()
 
 /**
  * The converged-grid (occupancy) family runs with 4x larger hash
- * tables. At the quickstart's 2^13 entries/level the toy scene's
- * surface hashes onto nearly every slot, so a touched-entry optimizer
- * has no sparsity to exploit -- an artifact of the scaled-down table,
- * not of the algorithm (the paper's tables are 2^19..2^24, far larger
- * than any scene's touched set). 2^15 restores the paper-regime shape
- * (touched << table) while keeping the bench in CI range; per-query
- * encode cost is table-size-independent, so the hot-path numbers stay
- * comparable and the optimizer scan cost is the honest variable.
+ * tables: a 2^15-entry base grid against the quickstart's 2^13.
+ * makeFieldConfig() gives each branch half the base share before its
+ * size ratio, so this family's density grid has 2^14 entries per level
+ * and its color grid 2^12, against the quickstart row's 2^12 and 2^10
+ * (the JSON's two log2_table fields record the density grids: 12 and
+ * 14). At the quickstart's size the toy scene's surface hashes onto
+ * nearly every slot, so a touched-entry optimizer has no sparsity to
+ * exploit -- an artifact of the scaled-down table, not of the
+ * algorithm (the paper's tables are 2^19..2^24, far larger than any
+ * scene's touched set). The larger tables restore the paper-regime
+ * shape (touched << table) while keeping the bench in CI range;
+ * per-query encode cost is table-size-independent, so the hot-path
+ * numbers stay comparable and the optimizer scan cost is the honest
+ * variable.
  */
 Workload
 occupancyWorkload()

@@ -196,7 +196,10 @@ class KernelBackend
  * A touch bitmap over n table entries is two levels in one array:
  * touchEntryWords(n) words with bit e set when entry e was written,
  * then one summary bit per entry word, set when that word may be
- * nonzero, so a reader visits only the words that were written.
+ * nonzero, so a reader visits only the words that were written. The
+ * entry level alone is the touched-set format past the reduce: a
+ * grid's dirty bitmap (NerfField::dirtyEntries), which Adam::stepSparse
+ * reads.
  */
 inline size_t
 touchEntryWords(size_t entries)

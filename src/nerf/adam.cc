@@ -81,8 +81,7 @@ Adam::enableSparse(uint32_t entry_span)
     sparse = true;
     span = entry_span;
     lastStep.assign(m.size() / span, 0);
-    activeBits.assign((m.size() / span + 63) / 64, 0);
-    touchedBits.assign(activeBits.size(), 0);
+    activeBits.assign(touchEntryWords(lastStep.size()), 0);
 }
 
 void
@@ -136,54 +135,47 @@ Adam::applyStep(float &p, float &m_i, float &v_i, float g) const
            (upd == 0.0f && m_i == 0.0f && !std::signbit(m_i));
 }
 
-void
+size_t
 Adam::stepSparse(std::vector<float> &params,
                  const std::vector<float> &grads,
-                 const std::vector<uint32_t> &touched, ThreadPool *pool)
+                 std::span<const uint64_t> touched, ThreadPool *pool)
 {
     panicIf(params.size() != m.size() || grads.size() != m.size(),
             "Adam::stepSparse() size mismatch");
     panicIf(!sparse, "stepSparse() needs enableSparse()");
+    panicIf(touched.size() != activeBits.size(),
+            "touched bitmap size does not match the parameter group");
+    const size_t tail_bits = lastStep.size() & 63;
+    panicIf(tail_bits != 0 && (touched.back() >> tail_bits) != 0,
+            "touched bit set past the last entry");
     advanceStep();
 
-    // Mark this step's touched entries (deduplicating via the bitmap)
-    // and add them to the active set; from here touched is a subset of
-    // active, so one sweep covers both kinds of work.
-    for (uint32_t off : touched) {
-        const size_t entry = off / span;
-        panicIf(off % span != 0 || entry >= lastStep.size(),
-                "touched offset outside the parameter group");
-        touchedBits[entry >> 6] |= 1ull << (entry & 63);
-        uint64_t &word = activeBits[entry >> 6];
-        const uint64_t bit = 1ull << (entry & 63);
-        if (!(word & bit)) {
-            word |= bit;
-            activeCount++;
-        }
-    }
-
     // One ascending sweep over the active set, in fixed blocks of
-    // bitmap words: the gradient step for touched entries (replaying
-    // any owed zero-gradient steps first), the zero-gradient decay step
-    // for the rest. Every m/v/param/grad access is in ascending address
-    // order, so a block streams through memory the same way the dense
-    // loop does -- just over the active fraction of the table instead
-    // of all of it. Entries are independent and a block writes only its
+    // bitmap words. Each word first takes this step's touched bits, so
+    // touched is a subset of active and one sweep covers both kinds of
+    // work: the gradient step for touched entries (replaying any owed
+    // zero-gradient steps first), the zero-gradient decay step for the
+    // rest. Every m/v/param/grad access is in ascending address order,
+    // so a block streams through memory the same way the dense loop
+    // does -- just over the active fraction of the table instead of
+    // all of it. Entries are independent and a block writes only its
     // own words and entries, so blocks may run on any thread in any
     // order. Parameters are exactly on the dense trajectory when this
     // returns.
-    std::atomic<size_t> retired{0};
+    std::atomic<size_t> stepped{0}, joined{0}, retired{0};
     auto sweep_block = [&](int block, int) {
         const size_t w_begin = static_cast<size_t>(block) * sweepBlockWords;
         const size_t w_end =
             std::min(w_begin + sweepBlockWords, activeBits.size());
-        size_t block_retired = 0;
+        size_t block_stepped = 0, block_joined = 0, block_retired = 0;
         for (size_t w = w_begin; w < w_end; w++) {
-            uint64_t word = activeBits[w];
+            const uint64_t tword = touched[w];
+            uint64_t word = activeBits[w] | tword;
             if (!word)
                 continue;
-            const uint64_t tword = touchedBits[w];
-            touchedBits[w] = 0;
+            block_stepped += static_cast<size_t>(std::popcount(tword));
+            block_joined +=
+                static_cast<size_t>(std::popcount(tword & ~activeBits[w]));
             uint64_t keep = word;
             do {
                 const int b = std::countr_zero(word);
@@ -226,6 +218,8 @@ Adam::stepSparse(std::vector<float> &params,
             } while (word);
             activeBits[w] = keep;
         }
+        stepped.fetch_add(block_stepped, std::memory_order_relaxed);
+        joined.fetch_add(block_joined, std::memory_order_relaxed);
         retired.fetch_add(block_retired, std::memory_order_relaxed);
     };
     const int blocks = static_cast<int>(
@@ -236,7 +230,11 @@ Adam::stepSparse(std::vector<float> &params,
         for (int b = 0; b < blocks; b++)
             sweep_block(b, 0);
     }
+    // Joined first: activeCount is unsigned, and a step's retirements
+    // may include entries that joined in the same step.
+    activeCount += joined.load(std::memory_order_relaxed);
     activeCount -= retired.load(std::memory_order_relaxed);
+    return stepped.load(std::memory_order_relaxed);
 }
 
 void

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace instant3d {
@@ -82,11 +83,19 @@ class Adam
     bool sparseEnabled() const { return sparse; }
 
     /**
-     * Apply one sparse Adam step: advances the step count, marks the
-     * entries listed in `touched` (duplicates ignored, any order), then
-     * sweeps the active set once -- the gradient update for the touched
-     * entries (any zero-gradient steps an entry missed while retired
-     * are replayed first), the zero-gradient decay update for the rest.
+     * Apply one sparse Adam step: advances the step count, then sweeps
+     * the active set plus the entries set in `touched` once -- the
+     * gradient update for the touched entries (any zero-gradient steps
+     * an entry missed while retired are replayed first), the
+     * zero-gradient decay update for the rest -- and returns the
+     * number of touched entries.
+     *
+     * `touched` is a bitmap with one bit per entry, touchEntryWords
+     * (kernels/kernel_backend.hh) words long: bit e covers floats
+     * [e * span, (e + 1) * span). NerfField::dirtyEntries() has this
+     * layout. Panics on any other length or on a bit set past the
+     * last entry.
+     *
      * The sweep runs in fixed blocks of entries, spread over `pool`
      * when it has more than one thread and inline otherwise. Entries
      * are independent, so the result is the same either way.
@@ -96,10 +105,10 @@ class Adam
      * dense-equivalence contract to hold. Not safe to call from a task
      * of `pool`.
      */
-    void stepSparse(std::vector<float> &params,
-                    const std::vector<float> &grads,
-                    const std::vector<uint32_t> &touched,
-                    ThreadPool *pool = nullptr);
+    size_t stepSparse(std::vector<float> &params,
+                      const std::vector<float> &grads,
+                      std::span<const uint64_t> touched,
+                      ThreadPool *pool = nullptr);
 
     /**
      * Settle any updates owed to params so they equal the dense-Adam
@@ -113,7 +122,8 @@ class Adam
 
     /**
      * Entries currently carrying nonzero first-moment momentum -- the
-     * per-step sweep set of the sparse path (plus the touched list).
+     * per-step sweep set of the sparse path, besides the step's
+     * touched entries.
      */
     size_t activeEntries() const { return activeCount; }
 
@@ -177,7 +187,6 @@ class Adam
      * remaining decay is replayed lazily on the entry's next touch.
      */
     std::vector<uint64_t> activeBits;
-    std::vector<uint64_t> touchedBits; //!< Scratch: this step's touches.
     size_t activeCount = 0;
     const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };

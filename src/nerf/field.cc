@@ -565,51 +565,35 @@ NerfField::prepareGradients(FieldGradients &g) const
 }
 
 void
-NerfField::resetDirty(DirtySet &set)
-{
-    // The bitmap is one bit per table entry, so the per-iteration
-    // clear is a few KB of memset -- cheaper than any epoch scheme's
-    // extra indirection in the hot membership test.
-    std::fill(set.bits.begin(), set.bits.end(), 0ull);
-    set.entries.clear();
-}
-
-void
 NerfField::setDirtyTracking(bool enable)
 {
     trackDirty = enable;
     if (!enable)
         return;
-    auto init = [](DirtySet &set, size_t grads_size, uint32_t span) {
-        set.bits.assign((grads_size / span + 63) / 64, 0ull);
-        set.fresh.assign(set.bits.size(), 0ull);
-        set.entries.clear();
+    auto init = [](std::vector<uint64_t> &dirty, HashEncoding *grid) {
+        if (!grid)
+            return;
+        const size_t span =
+            static_cast<size_t>(grid->config().featuresPerEntry);
+        dirty.assign(touchEntryWords(grid->grads().size() / span), 0ull);
     };
-    if (densityGridPtr) {
-        init(dirtyDensity, densityGridPtr->grads().size(),
-             static_cast<uint32_t>(
-                 densityGridPtr->config().featuresPerEntry));
-    }
-    if (colorGridPtr) {
-        init(dirtyColor, colorGridPtr->grads().size(),
-             static_cast<uint32_t>(
-                 colorGridPtr->config().featuresPerEntry));
-    }
+    init(dirtyDensity, densityGridPtr.get());
+    init(dirtyColor, colorGridPtr.get());
 }
 
-const std::vector<uint32_t> &
+const std::vector<uint64_t> &
 NerfField::dirtyEntries(ParamGroupId id) const
 {
     panicIf(!trackDirty, "dirty tracking is not enabled");
     switch (id) {
       case ParamGroupId::DensityGrid:
         panicIf(!densityGridPtr, "field mode has no density grid");
-        return dirtyDensity.entries;
+        return dirtyDensity;
       case ParamGroupId::ColorGrid:
         panicIf(!colorGridPtr, "field mode has no color grid");
-        return dirtyColor.entries;
+        return dirtyColor;
       default:
-        panic("only grid groups have dirty lists");
+        panic("only grid groups have dirty bitmaps");
     }
 }
 
@@ -617,14 +601,31 @@ void
 NerfField::zeroGradDirty()
 {
     panicIf(!trackDirty, "zeroGradDirty() needs dirty tracking");
-    if (densityGridPtr) {
-        densityGridPtr->zeroGradEntries(dirtyDensity.entries);
-        resetDirty(dirtyDensity);
-    }
-    if (colorGridPtr) {
-        colorGridPtr->zeroGradEntries(dirtyColor.entries);
-        resetDirty(dirtyColor);
-    }
+    // One fill per dirty word, from its lowest to its highest dirty
+    // entry: the clean entries between them are +0 already (the
+    // reduce invariant), so rewriting them changes no bit, and one
+    // fill per word costs less than one per entry.
+    auto clear = [](HashEncoding *grid, std::vector<uint64_t> &dirty) {
+        if (!grid)
+            return;
+        float *grads = grid->grads().data();
+        const size_t span =
+            static_cast<size_t>(grid->config().featuresPerEntry);
+        for (size_t w = 0; w < dirty.size(); w++) {
+            const uint64_t word = dirty[w];
+            if (!word)
+                continue;
+            dirty[w] = 0;
+            const size_t first =
+                (w << 6) + static_cast<size_t>(std::countr_zero(word));
+            const size_t last =
+                (w << 6) + 63 - static_cast<size_t>(std::countl_zero(word));
+            std::fill(grads + first * span, grads + (last + 1) * span,
+                      0.0f);
+        }
+    };
+    clear(densityGridPtr.get(), dirtyDensity);
+    clear(colorGridPtr.get(), dirtyColor);
     densityMlpPtr->zeroGrad();
     colorMlpPtr->zeroGrad();
 }
@@ -639,7 +640,7 @@ NerfField::reduceGradients(std::span<FieldGradients> shards,
     {
         GradShard FieldGradients::*shard = nullptr;
         float *dst = nullptr;
-        DirtySet *dirty = nullptr; //!< null without dirty tracking.
+        uint64_t *dirty = nullptr; //!< null without dirty tracking.
         uint32_t span = 1;
         size_t words = 0;
         int firstTask = 0;
@@ -649,13 +650,13 @@ NerfField::reduceGradients(std::span<FieldGradients> shards,
     int num_tasks = 0;
     auto add_group = [&](HashEncoding *grid,
                          GradShard FieldGradients::*shard,
-                         DirtySet &dirty) {
+                         std::vector<uint64_t> &dirty) {
         if (!grid)
             return;
         SparseGroup &g = groups[num_groups++];
         g.shard = shard;
         g.dst = grid->grads().data();
-        g.dirty = trackDirty ? &dirty : nullptr;
+        g.dirty = trackDirty ? dirty.data() : nullptr;
         g.span = static_cast<uint32_t>(grid->config().featuresPerEntry);
         g.words = touchEntryWords(grid->grads().size() / g.span);
         g.firstTask = num_tasks;
@@ -708,10 +709,8 @@ NerfField::reduceGradients(std::span<FieldGradients> shards,
         }
         if (!g.dirty)
             return;
-        for (size_t w = w_begin; w < w_end; w++) {
-            g.dirty->fresh[w] = any[w - w_begin] & ~g.dirty->bits[w];
-            g.dirty->bits[w] |= any[w - w_begin];
-        }
+        for (size_t w = w_begin; w < w_end; w++)
+            g.dirty[w] |= any[w - w_begin];
     };
     if (pool && pool->threadCount() > 1 && num_tasks > 1) {
         pool->parallelFor(num_tasks, run_block);
@@ -724,26 +723,6 @@ NerfField::reduceGradients(std::span<FieldGradients> shards,
             std::vector<uint64_t> &bits = (fg.*groups[i].shard).touched;
             if (!bits.empty())
                 std::fill(bits.begin() + groups[i].words, bits.end(), 0ull);
-        }
-    }
-
-    // Newly dirtied entries join the dirty lists in ascending order.
-    for (int i = 0; i < num_groups; i++) {
-        DirtySet *dirty = groups[i].dirty;
-        if (!dirty)
-            continue;
-        for (size_t w = 0; w < groups[i].words; w++) {
-            uint64_t word = dirty->fresh[w];
-            if (!word)
-                continue;
-            dirty->fresh[w] = 0;
-            do {
-                const int b = std::countr_zero(word);
-                word &= word - 1;
-                const size_t e = (w << 6) + static_cast<size_t>(b);
-                dirty->entries.push_back(
-                    static_cast<uint32_t>(e * groups[i].span));
-            } while (word);
         }
     }
 
@@ -854,12 +833,10 @@ NerfField::zeroGrad()
         colorGridPtr->zeroGrad();
     densityMlpPtr->zeroGrad();
     colorMlpPtr->zeroGrad();
-    // A full clear also settles the dirty bookkeeping, so mixing the
-    // two clear paths cannot leave stale dirty lists behind.
-    if (trackDirty) {
-        resetDirty(dirtyDensity);
-        resetDirty(dirtyColor);
-    }
+    // A full clear also clears the dirty bitmaps, so mixing the two
+    // clear paths cannot leave stale dirty bits behind.
+    std::fill(dirtyDensity.begin(), dirtyDensity.end(), 0ull);
+    std::fill(dirtyColor.begin(), dirtyColor.end(), 0ull);
 }
 
 } // namespace instant3d

@@ -277,10 +277,10 @@ class NerfField
      * bitmap words, spread over `pool` when it has more than one
      * thread and run inline otherwise (null pool included). No task
      * touches a trace sink, so a traced iteration may pass its pool.
-     * With dirty tracking enabled, the newly touched entries are
-     * appended to the per-group dirty lists in ascending entry order.
-     * The MLP shards are reduced serially in shard order. Not safe to
-     * call from a task of `pool`.
+     * With dirty tracking enabled, each block ORs the entries its
+     * shards wrote into the group's dirty bitmap. The MLP shards are
+     * reduced serially in shard order. Not safe to call from a task
+     * of `pool`.
      */
     void reduceGradients(std::span<FieldGradients> shards,
                          ThreadPool *pool);
@@ -298,21 +298,26 @@ class NerfField
     void setDirtyTracking(bool enable);
 
     /**
-     * Unique entry base offsets of a grid group written since the last
-     * zeroGrad/zeroGradDirty. Each reduceGradients() call appends the
-     * entries it newly dirtied in ascending order, so the list is
-     * deterministic; its consumers (Adam::stepSparse, zeroGradDirty)
-     * do not depend on the order. Only grid groups have dirty lists;
+     * Dirty bitmap of a grid group: bit e is set when table entry e
+     * (floats [e * featuresPerEntry, (e + 1) * featuresPerEntry) of
+     * the group's gradients) was written since the last
+     * zeroGrad/zeroGradDirty: the union of every reduceGradients()
+     * call's writes since then. One bit per entry, touchEntryWords
+     * (kernels/kernel_backend.hh) words long, the layout
+     * Adam::stepSparse() reads. Only grid groups have dirty bitmaps;
      * panics for MLP groups.
      */
-    const std::vector<uint32_t> &dirtyEntries(ParamGroupId id) const;
+    const std::vector<uint64_t> &dirtyEntries(ParamGroupId id) const;
 
     /**
-     * O(touched) gradient clear: zero only the dirty grid entries (the
-     * grids are all-zero elsewhere by the reduce invariant), densely
-     * zero the small MLP gradient buffers, and reset the dirty lists.
-     * Requires dirty tracking to have been enabled for the whole
-     * accumulation window; zeroGrad() remains the full-scan fallback.
+     * Touched-only gradient clear: one pass over each dirty bitmap
+     * zeroes the grid entries it marks and clears it, then the small
+     * MLP gradient buffers are zeroed densely. A dirty word's entries
+     * are zeroed by one fill from its lowest to its highest marked
+     * entry; the grids are +0 outside the marked entries (the reduce
+     * invariant), so this changes no other bit. Requires dirty
+     * tracking to have been enabled for the whole accumulation window;
+     * zeroGrad() remains the full-scan fallback.
      */
     void zeroGradDirty();
 
@@ -366,28 +371,12 @@ class NerfField
 
   private:
     /**
-     * One grid group's dirty-entry set: the unique touched entries plus
-     * a membership bitmap (one bit per table entry) that the reduce
-     * ORs each block of shard bitmap words into.
-     */
-    struct DirtySet
-    {
-        std::vector<uint32_t> entries; //!< Unique base offsets.
-        std::vector<uint64_t> bits;    //!< Per-entry membership bit.
-        std::vector<uint64_t> fresh;   //!< Bits newly set by the running
-                                       //!< reduce call; all-zero between
-                                       //!< calls.
-    };
-
-    /**
      * The density MLP's input rows for n points, from ws: the density
      * grid's encoding (recorded into rec when non-null), or the
      * positional encoding in Vanilla mode, which has no grid.
      */
     float *encodeTrunk(const Vec3 *pts, int n, EncodeBatchRecord *rec,
                        Workspace &ws);
-
-    static void resetDirty(DirtySet &set);
 
     FieldConfig cfg;
     std::unique_ptr<HashEncoding> densityGridPtr;
@@ -396,8 +385,8 @@ class NerfField
     std::unique_ptr<Mlp> colorMlpPtr;
     std::atomic<uint64_t> queries{0};
     bool trackDirty = false;
-    DirtySet dirtyDensity;
-    DirtySet dirtyColor;
+    std::vector<uint64_t> dirtyDensity; //!< See dirtyEntries().
+    std::vector<uint64_t> dirtyColor;
     const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 

@@ -286,15 +286,6 @@ HashEncoding::zeroGrad()
     std::fill(gradTable.begin(), gradTable.end(), 0.0f);
 }
 
-void
-HashEncoding::zeroGradEntries(const std::vector<uint32_t> &touched)
-{
-    const uint32_t fpe = static_cast<uint32_t>(cfg.featuresPerEntry);
-    for (uint32_t off : touched)
-        for (uint32_t f = 0; f < fpe; f++)
-            gradTable[off + f] = 0.0f;
-}
-
 float
 HashEncoding::quantizeToHalf()
 {

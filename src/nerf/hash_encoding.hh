@@ -148,15 +148,6 @@ class HashEncoding
 
     void zeroGrad();
 
-    /**
-     * Zero only the gradient entries whose base offsets are listed in
-     * `touched` (each spans featuresPerEntry floats; duplicates are
-     * harmless). With the all-zero-outside-touched invariant the
-     * trainer maintains, this restores the fully-zeroed state in
-     * O(touched) instead of O(table).
-     */
-    void zeroGradEntries(const std::vector<uint32_t> &touched);
-
     /** Bytes of embedding storage (fp16 entries, as on the accelerator). */
     size_t storageBytes() const;
 

@@ -273,8 +273,9 @@ Trainer::trainIteration()
     }
 
     // Apply optimizer steps to the branches due this iteration: sparse
-    // groups step only the dirty union the reduction just assembled,
-    // sweeping it over the pool.
+    // groups step only the entries of the dirty bitmap the reduction
+    // just assembled (plus those still carrying momentum), sweeping
+    // over the pool.
     {
         obs::ScopedTimer timer(ph.optimizer);
         for (size_t g = 0; g < groups.size(); g++) {
@@ -285,16 +286,14 @@ Trainer::trainIteration()
             if (!due)
                 continue;
             if (optimizers[g]->sparseEnabled()) {
-                const auto &dirty = fieldPtr->dirtyEntries(groups[g]);
-                auto &params = fieldPtr->groupParams(groups[g]);
                 // stepSparse settles the whole active set as it goes,
                 // so the next forward pass reads exactly the
                 // dense-trajectory parameters without a separate
                 // catch-up.
-                optimizers[g]->stepSparse(
-                    params, fieldPtr->groupGrads(groups[g]), dirty,
-                    pool.get());
-                stats.sparseEntriesStepped += dirty.size();
+                stats.sparseEntriesStepped += optimizers[g]->stepSparse(
+                    fieldPtr->groupParams(groups[g]),
+                    fieldPtr->groupGrads(groups[g]),
+                    fieldPtr->dirtyEntries(groups[g]), pool.get());
             } else {
                 optimizers[g]->step(fieldPtr->groupParams(groups[g]),
                                     fieldPtr->groupGrads(groups[g]));
@@ -302,8 +301,8 @@ Trainer::trainIteration()
         }
     }
 
-    // O(touched) clear when every grid scatter went through a touch
-    // bitmap (the sparse optimizer's dirty union); full scan otherwise.
+    // Touched-only clear, one pass over the dirty bitmaps, when every
+    // grid scatter went through a touch bitmap; full scan otherwise.
     {
         obs::ScopedTimer timer(ph.zeroGrad);
         if (sparseActive)

@@ -172,7 +172,7 @@ class Trainer
     /**
      * Entries currently in the sparse optimizers' sweep sets (all grid
      * groups summed) -- the per-iteration optimizer work beyond the
-     * touched list. 0 when stepping densely.
+     * touched entries. 0 when stepping densely.
      */
     size_t sparseActiveEntries() const;
 

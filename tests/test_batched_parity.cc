@@ -209,6 +209,10 @@ TEST(BatchedParityTest, HashEncodeMatchesScalarBitExact)
  * carry a zero output gradient (entries touched with a zero gradient),
  * on tables of 2^15 entries per level so that the reduce runs many
  * blocks. The reference adds each shard's whole `v` in shard order.
+ * One more input reduces the shards one call each, as perfbench's
+ * stage probe does: its gradients and dirty bitmap (the union of the
+ * calls') equal the pooled call's bit for bit, and zeroGradDirty()
+ * then empties both.
  */
 TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
 {
@@ -226,8 +230,8 @@ TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
         NerfField field(fcfg, 3);
         const std::vector<ParamGroupId> groups = field.paramGroups();
 
-        // Corner entries recorded per grid group, as base offsets.
-        std::vector<uint32_t> corners[2];
+        // Corner entries recorded per grid group, as a dirty bitmap.
+        std::vector<uint64_t> corners[2];
         const int num_shards = 8;
         std::vector<FieldGradients> shards(num_shards);
         Rng r(41 + static_cast<int>(mode));
@@ -277,17 +281,18 @@ TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
                     gi == 0 ? field.densityGrid().config()
                             : field.colorGrid().config();
                 const size_t slots = static_cast<size_t>(gc.numLevels) * 8;
-                for (int s = 0; s < n; s++)
-                    for (size_t j = 0; j < slots; j++)
-                        corners[gi].push_back(static_cast<uint32_t>(
-                            ((j / 8) * gc.tableSize() +
-                             enc[gi]->addresses[s * slots + j]) *
-                            gc.featuresPerEntry));
+                corners[gi].resize(touchEntryWords(
+                    static_cast<size_t>(gc.numLevels) * gc.tableSize()));
+                for (int s = 0; s < n; s++) {
+                    for (size_t j = 0; j < slots; j++) {
+                        const size_t entry =
+                            (j / 8) * gc.tableSize() +
+                            enc[gi]->addresses[s * slots + j];
+                        corners[gi][entry / 64] |= uint64_t{1}
+                                                   << (entry % 64);
+                    }
+                }
             }
-        }
-        for (auto &c : corners) {
-            std::sort(c.begin(), c.end());
-            c.erase(std::unique(c.begin(), c.end()), c.end());
         }
 
         // Reference: every shard's whole buffer, added in shard order.
@@ -310,12 +315,23 @@ TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
             ref.push_back(std::move(sum));
         }
 
-        for (int threads : {1, 2, 8}) {
-            ThreadPool pool(threads);
+        // threads == 0 reduces the shards one call each, with no pool.
+        const ParamGroupId grid_ids[2] = {ParamGroupId::DensityGrid,
+                                          ParamGroupId::ColorGrid};
+        const int num_grids = mode == FieldMode::Decoupled ? 2 : 1;
+        std::vector<std::vector<float>> pooled_grads;
+        std::vector<uint64_t> pooled_dirty[2];
+        for (int threads : {1, 2, 8, 0}) {
             NerfField reduced(fcfg, 3);
             reduced.setDirtyTracking(true);
             std::vector<FieldGradients> copy = shards;
-            reduced.reduceGradients(copy, &pool);
+            if (threads == 0) {
+                for (FieldGradients &g : copy)
+                    reduced.reduceGradients(g);
+            } else {
+                ThreadPool pool(threads);
+                reduced.reduceGradients(copy, &pool);
+            }
 
             for (size_t g = 0; g < groups.size(); g++) {
                 const std::vector<float> &got =
@@ -342,6 +358,35 @@ TEST(GradientReduceTest, PooledBitmapReduceMatchesShardOrderReference)
                     for (uint64_t w : s.touched)
                         ASSERT_EQ(w, 0u) << threads << " threads";
                 }
+            }
+
+            if (threads != 0) {
+                pooled_grads.clear();
+                for (ParamGroupId id : groups)
+                    pooled_grads.push_back(reduced.groupGrads(id));
+                for (int gi = 0; gi < num_grids; gi++)
+                    pooled_dirty[gi] = reduced.dirtyEntries(grid_ids[gi]);
+                continue;
+            }
+            for (size_t g = 0; g < groups.size(); g++) {
+                const std::vector<float> &got =
+                    reduced.groupGrads(groups[g]);
+                ASSERT_EQ(std::memcmp(got.data(), pooled_grads[g].data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << "one call per shard, group " << g;
+            }
+            for (int gi = 0; gi < num_grids; gi++)
+                EXPECT_EQ(reduced.dirtyEntries(grid_ids[gi]),
+                          pooled_dirty[gi])
+                    << "one call per shard, grid " << gi;
+
+            reduced.zeroGradDirty();
+            for (int gi = 0; gi < num_grids; gi++) {
+                for (float x : reduced.groupGrads(grid_ids[gi]))
+                    ASSERT_EQ(x, 0.0f) << "grid " << gi;
+                for (uint64_t w : reduced.dirtyEntries(grid_ids[gi]))
+                    ASSERT_EQ(w, 0u) << "grid " << gi;
             }
         }
     }

@@ -16,6 +16,8 @@
 #include "accel/accelerator.hh"
 #include "accel/sram.hh"
 #include "common/rng.hh"
+#include "kernels/kernel_backend.hh"
+#include "nerf/adam.hh"
 #include "nerf/renderer.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
@@ -305,6 +307,36 @@ TEST(DeathTest, OccupancyProbeCountBelowOneIsFatal)
         EXPECT_EXIT(OccupancyGrid{cfg}, ::testing::ExitedWithCode(1),
                     "samplesPerCellUpdate");
     }
+}
+
+/** A sparse Adam over 130 entries of 2 floats: the last of its three
+ *  bitmap words holds 2 entries. */
+struct SparseAdam130
+{
+    static constexpr size_t entries = 130;
+    std::vector<float> params = std::vector<float>(entries * 2, 0.5f);
+    std::vector<float> grads = std::vector<float>(entries * 2, 0.0f);
+    Adam adam{entries * 2, AdamConfig{}};
+    SparseAdam130() { adam.enableSparse(2); }
+};
+
+TEST(DeathTest, SparseStepRejectsShortBitmap)
+{
+    SparseAdam130 s;
+    std::vector<uint64_t> touched(touchEntryWords(s.entries) - 1, 0);
+    EXPECT_DEATH(s.adam.stepSparse(s.params, s.grads, touched),
+                 "touched bitmap size");
+}
+
+TEST(DeathTest, SparseStepRejectsBitPastLastEntry)
+{
+    SparseAdam130 s;
+    std::vector<uint64_t> touched(touchEntryWords(s.entries), 0);
+    touched.back() = uint64_t{1} << (s.entries % 64 - 1); // the last entry
+    EXPECT_EQ(s.adam.stepSparse(s.params, s.grads, touched), 1u);
+    touched.back() = uint64_t{1} << (s.entries % 64);
+    EXPECT_DEATH(s.adam.stepSparse(s.params, s.grads, touched),
+                 "past the last entry");
 }
 
 } // namespace

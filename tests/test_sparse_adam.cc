@@ -32,6 +32,7 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "kernels/kernel_backend.hh"
 #include "nerf/adam.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
@@ -67,6 +68,20 @@ smallDataset()
 }
 
 // ---- Lazy catch-up vs dense, hand-built touch pattern ------------------
+
+/**
+ * The touched bitmap Adam::stepSparse reads, over `entries` entries of
+ * `span` floats, with the entries at the given base offsets set.
+ */
+std::vector<uint64_t>
+touchedBits(const std::vector<uint32_t> &offsets, uint32_t span,
+            size_t entries)
+{
+    std::vector<uint64_t> bits(touchEntryWords(entries), 0);
+    for (uint32_t off : offsets)
+        bits[off / span / 64] |= uint64_t{1} << (off / span % 64);
+    return bits;
+}
 
 /**
  * 6 entries x span 2, 12 steps, a mix of schedules: entry 0 touched
@@ -116,8 +131,11 @@ TEST(SparseAdamTest, LazyCatchUpMatchesDenseOnHandBuiltPattern)
                 grads[off + f] = grads_rng.nextFloat(-1.0f, 1.0f);
 
         dense.step(p_dense, grads);
-        lazy.stepSparse(p_lazy, grads, touched_at(step));
-        eager.stepSparse(p_eager, grads, touched_at(step));
+        const std::vector<uint64_t> bits =
+            touchedBits(touched_at(step), span, entries);
+        EXPECT_EQ(lazy.stepSparse(p_lazy, grads, bits),
+                  touched_at(step).size());
+        eager.stepSparse(p_eager, grads, bits);
         eager.catchUp(p_eager); // settling every step must be harmless
     }
 
@@ -192,7 +210,8 @@ TEST(SparseAdamTest, RetirementAndLongGapReplayMatchDense)
                 grads[off + f] = grads_rng.nextFloat(-1.0f, 1.0f);
 
         dense.step(p_dense, grads);
-        sparse.stepSparse(p_sparse, grads, touched_at(step));
+        sparse.stepSparse(p_sparse, grads,
+                          touchedBits(touched_at(step), span, entries));
         max_active = std::max(max_active, sparse.activeEntries());
         min_active = std::min(min_active, sparse.activeEntries());
 
@@ -261,8 +280,10 @@ TEST(SparseAdamTest, PooledSweepMatchesInline)
             for (uint32_t f = 0; f < span; f++)
                 grads[off + f] = grads_rng.nextFloat(-1.0f, 1.0f);
 
+        const std::vector<uint64_t> bits =
+            touchedBits(touched, span, entries);
         for (int k = 0; k < 3; k++)
-            adams[k]->stepSparse(params[k], grads, touched, pools[k]);
+            adams[k]->stepSparse(params[k], grads, bits, pools[k]);
         for (int k = 1; k < 3; k++) {
             ASSERT_EQ(std::memcmp(params[k].data(), params[0].data(),
                                   n * sizeof(float)),
@@ -278,23 +299,6 @@ TEST(SparseAdamTest, PooledSweepMatchesInline)
     // were summed while they changed.
     EXPECT_GE(max_active, entries / 2);
     EXPECT_LE(min_active, entries / 4) << "retirement never engaged";
-}
-
-TEST(SparseAdamTest, DuplicateTouchesAreIgnored)
-{
-    constexpr uint32_t span = 2;
-    AdamConfig acfg;
-    Adam a(4, acfg), b(4, acfg);
-    a.enableSparse(span);
-    b.enableSparse(span);
-    std::vector<float> pa = {0.5f, -0.5f, 0.25f, 1.0f};
-    std::vector<float> pb = pa;
-    std::vector<float> grads = {0.1f, -0.2f, 0.0f, 0.0f};
-
-    a.stepSparse(pa, grads, {0});
-    b.stepSparse(pb, grads, {0, 0, 0});
-    for (size_t i = 0; i < pa.size(); i++)
-        ASSERT_EQ(pa[i], pb[i]) << "param " << i;
 }
 
 TEST(SparseAdamTest, SparseModeRejectsWeightDecay)
