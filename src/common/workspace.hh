@@ -3,7 +3,7 @@
  * Per-thread scratch arena for the training/rendering hot path.
  *
  * The batched NeRF kernels (Mlp::forwardBatch, HashEncoding::encodeBatch,
- * NerfField::queryBatch, the renderer's stream records) allocate all of
+ * NerfField::queryStream, the renderer's stream records) allocate all of
  * their temporary and record storage from a Workspace instead of heap-
  * allocating per call. A Workspace is a bump allocator over a list of
  * blocks: allocations are O(1) pointer arithmetic, reset() recycles the

@@ -151,12 +151,10 @@ void
 KernelBackend::compositeStream(const RaySpan *spans, int num_rays,
                                const FieldSample *fs, const float *ts,
                                float dt, const Vec3 &background,
-                               float t_far, float early_stop,
-                               RayResult *results, float *alpha,
-                               float *trans, Vec3 *rgb,
+                               float t_far, RayResult *results,
+                               float *alpha, float *trans, Vec3 *rgb,
                                float *final_trans) const
 {
-    const bool record = alpha != nullptr;
     for (int r = 0; r < num_rays; r++) {
         const RaySpan span = spans[r];
         RayResult out;
@@ -166,22 +164,15 @@ KernelBackend::compositeStream(const RaySpan *spans, int num_rays,
             float weight = transmittance * a;
             out.color += fs[k].rgb * weight;
             out.depth += ts[k] * weight;
-
-            if (record) {
-                alpha[k] = a;
-                trans[k] = transmittance;
-                rgb[k] = fs[k].rgb;
-            }
-
+            alpha[k] = a;
+            trans[k] = transmittance;
+            rgb[k] = fs[k].rgb;
             transmittance *= 1.0f - a;
-            if (!record && transmittance < early_stop)
-                break;
         }
         out.color += background * transmittance;
         out.depth += t_far * transmittance;
         out.opacity = 1.0f - transmittance;
-        if (final_trans)
-            final_trans[r] = transmittance;
+        final_trans[r] = transmittance;
         results[r] = out;
     }
 }

@@ -163,17 +163,16 @@ class KernelBackend
     // ------------------------------------- renderer stream composite
     /**
      * Per-ray alpha compositing over a compacted sample stream:
-     * results[r] from the field samples fs of span r. When the record
-     * arrays (alpha/trans/rgb/final_trans) are non-null they are
-     * filled for a later compositeBackward and early-stop is disabled;
-     * otherwise compositing stops below early_stop transmittance.
+     * results[r] from the field samples fs of span r, over every
+     * sample (no early stop). The required record arrays
+     * (alpha/trans/rgb/final_trans) are filled for a later
+     * compositeBackward.
      */
     virtual void compositeStream(const RaySpan *spans, int num_rays,
                                  const FieldSample *fs, const float *ts,
                                  float dt, const Vec3 &background,
-                                 float t_far, float early_stop,
-                                 RayResult *results, float *alpha,
-                                 float *trans, Vec3 *rgb,
+                                 float t_far, RayResult *results,
+                                 float *alpha, float *trans, Vec3 *rgb,
                                  float *final_trans) const;
 
     /**

@@ -300,15 +300,6 @@ NerfField::encodeTrunk(const Vec3 *pts, int n, EncodeBatchRecord *rec,
 }
 
 void
-NerfField::queryBatch(const Vec3 *pts, int n, const Vec3 &d,
-                      FieldSample *out, FieldBatchRecord *rec,
-                      Workspace &ws)
-{
-    RaySpan span{0, n};
-    queryStream(pts, n, &span, &d, 1, out, rec, ws);
-}
-
-void
 NerfField::queryStream(const Vec3 *pts, int n, const RaySpan *spans,
                        const Vec3 *dirs, int numRays, FieldSample *out,
                        FieldBatchRecord *rec, Workspace &ws)
@@ -446,20 +437,14 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
              s >= spans[r].offset; s--)
             order[count++] = s;
 
-    float *g_dmlp = target ? target->densityMlp.v.data()
-                           : densityMlpPtr->grads().data();
-    float *g_cmlp = target ? target->colorMlp.v.data()
-                           : colorMlpPtr->grads().data();
+    float *g_dmlp = target->densityMlp.v.data();
+    float *g_cmlp = target->colorMlp.v.data();
 
     if (cfg.mode == FieldMode::Decoupled) {
-        float *g_dgrid = target ? target->densityGrid.v.data()
-                                : densityGridPtr->grads().data();
-        float *g_cgrid = target ? target->colorGrid.v.data()
-                                : colorGridPtr->grads().data();
-        uint64_t *t_dgrid =
-            target ? target->densityGrid.touched.data() : nullptr;
-        uint64_t *t_cgrid =
-            target ? target->colorGrid.touched.data() : nullptr;
+        float *g_dgrid = target->densityGrid.v.data();
+        float *g_cgrid = target->colorGrid.v.data();
+        uint64_t *t_dgrid = target->densityGrid.touched.data();
+        uint64_t *t_cgrid = target->colorGrid.touched.data();
 
         const int cin = colorGridPtr->outputDim() + dirEncodingDim;
         float *d_col_in = ws.alloc<float>(cin);
@@ -498,13 +483,8 @@ NerfField::backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
     float *d_feat = cfg.mode == FieldMode::Vanilla
                         ? nullptr
                         : ws.alloc<float>(densityGridPtr->outputDim());
-    float *g_dgrid = nullptr;
-    uint64_t *t_dgrid = nullptr;
-    if (cfg.mode != FieldMode::Vanilla) {
-        g_dgrid = target ? target->densityGrid.v.data()
-                         : densityGridPtr->grads().data();
-        t_dgrid = target ? target->densityGrid.touched.data() : nullptr;
-    }
+    float *g_dgrid = target->densityGrid.v.data();
+    uint64_t *t_dgrid = target->densityGrid.touched.data();
 
     for (int i = 0; i < count; i++) {
         const int s = order[i];

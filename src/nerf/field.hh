@@ -106,9 +106,9 @@ struct FieldRecord
 };
 
 /**
- * Forward context of a batch of n queries sharing one view direction
- * (the samples of one ray). All buffers are arena-backed and stay
- * valid until the owning Workspace resets.
+ * Forward context of one queryStream() over n samples, consumed by
+ * backwardStream(). All buffers are arena-backed and stay valid until
+ * the owning Workspace resets.
  */
 struct FieldBatchRecord
 {
@@ -201,25 +201,16 @@ class NerfField
                   bool update_color = true);
 
     /**
-     * Batched query of n points sharing one view direction (Step 3 for
-     * all samples of a ray at once). Kernel-major execution -- each
-     * grid encode and MLP runs over the whole batch -- with all scratch
-     * from ws. Per-sample results are bit-identical to query().
+     * Batched query of a compacted multi-ray sample stream (Step 3):
+     * n points partitioned into `numRays` per-ray spans, ray r's
+     * samples sharing direction dirs[r]. Kernel-major execution --
+     * every grid encode and MLP forward runs once over the whole
+     * stream, with all scratch from ws -- so per-ray fixed costs are
+     * paid once per chunk instead of once per ray. A sample's result
+     * is bit-identical whichever spans share its stream, and equals
+     * query() where the compiler contracts no mul+add into an FMA.
      *
      * Thread-safe for concurrent calls while no trace sink is attached.
-     */
-    void queryBatch(const Vec3 *pts, int n, const Vec3 &d,
-                    FieldSample *out, FieldBatchRecord *rec,
-                    Workspace &ws);
-
-    /**
-     * Batched query of a compacted multi-ray sample stream: n points
-     * partitioned into `numRays` per-ray spans, ray r's samples sharing
-     * direction dirs[r]. Every kernel (grid encode, MLP forward) runs
-     * once over the whole stream, so per-ray fixed costs are paid once
-     * per chunk instead of once per ray. Per-sample arithmetic is
-     * bit-identical to queryBatch() on each span separately (and hence
-     * to query()). queryBatch() is the single-span special case.
      */
     void queryStream(const Vec3 *pts, int n, const RaySpan *spans,
                      const Vec3 *dirs, int numRays, FieldSample *out,
@@ -233,8 +224,8 @@ class NerfField
      * outputs. Vanilla: positional encoding, then the density MLP.
      * The color grid, color MLP and direction encoding never run.
      * These are the kernels queryStream() runs on the density branch,
-     * so sigma is bit-equal to queryBatch()'s in every build. Counts
-     * n queries in queryCount(), as queryBatch() does.
+     * so sigma is bit-equal to queryStream()'s in every build. Counts
+     * n queries in queryCount(), as queryStream() does.
      *
      * Thread-safe for concurrent calls while no trace sink is attached.
      */
@@ -250,9 +241,8 @@ class NerfField
      *
      * @param skip    If non-null, samples with skip[s] != 0 are not
      *                propagated (the renderer's gradient-skip rule).
-     * @param target  Gradient shard set to accumulate into; nullptr
-     *                accumulates into the field's own grad buffers
-     *                (single-threaded use only).
+     * @param target  Gradient shard set to accumulate into (required,
+     *                prepared by prepareGradients()).
      */
     void backwardStream(const FieldBatchRecord &rec, const RaySpan *spans,
                         int numRays, const float *d_sigma,

@@ -114,23 +114,18 @@ VolumeRenderer::renderStream(NerfField &field, const SampleStream &stream,
     const int total = stream.totalSamples;
     FieldSample *fs = ws.alloc<FieldSample>(total);
     field.queryStream(stream.pts, total, stream.spans, stream.dirs,
-                      stream.numRays, fs, rec ? &rec->field : nullptr, ws);
+                      stream.numRays, fs, &rec->field, ws);
 
-    if (rec) {
-        rec->alpha = ws.alloc<float>(total);
-        rec->trans = ws.alloc<float>(total);
-        rec->rgb = ws.alloc<Vec3>(total);
-        rec->finalTrans = ws.alloc<float>(stream.numRays);
-    }
+    rec->alpha = ws.alloc<float>(total);
+    rec->trans = ws.alloc<float>(total);
+    rec->rgb = ws.alloc<Vec3>(total);
+    rec->finalTrans = ws.alloc<float>(stream.numRays);
 
     resolveBackend(kernelBackend)
         .compositeStream(stream.spans, stream.numRays, fs, stream.ts,
-                         stream.dt, cfg.background, cfg.tFar,
-                         cfg.earlyStopTransmittance, results,
-                         rec ? rec->alpha : nullptr,
-                         rec ? rec->trans : nullptr,
-                         rec ? rec->rgb : nullptr,
-                         rec ? rec->finalTrans : nullptr);
+                         stream.dt, cfg.background, cfg.tFar, results,
+                         rec->alpha, rec->trans, rec->rgb,
+                         rec->finalTrans);
 }
 
 void
@@ -160,54 +155,6 @@ VolumeRenderer::backwardStream(NerfField &field,
     field.backwardStream(rec.field, stream.spans, stream.numRays,
                          d_sigma, d_rgb, skip, update_density,
                          update_color, target, ws);
-}
-
-RayResult
-VolumeRenderer::renderRayFast(NerfField &field, const Ray &ray,
-                              Workspace &ws) const
-{
-    constexpr int block = 16;
-    const int n = cfg.samplesPerRay;
-    const float dt = (cfg.tFar - cfg.tNear) / static_cast<float>(n);
-
-    Vec3 *pts = ws.alloc<Vec3>(block);
-    float *ts = ws.alloc<float>(block);
-    FieldSample *fs = ws.alloc<FieldSample>(block);
-
-    RayResult out;
-    float transmittance = 1.0f;
-    bool stopped = false;
-
-    for (int k0 = 0; k0 < n && !stopped; k0 += block) {
-        int m = 0;
-        for (int k = k0; k < n && k < k0 + block; k++) {
-            float t = cfg.tNear + (static_cast<float>(k) + 0.5f) * dt;
-            Vec3 p = ray.at(t);
-            if (occupancy && !occupancy->occupied(p))
-                continue;
-            pts[m] = p;
-            ts[m] = t;
-            m++;
-        }
-        field.queryBatch(pts, m, ray.direction, fs, nullptr, ws);
-
-        for (int k = 0; k < m; k++) {
-            float alpha = 1.0f - std::exp(-fs[k].sigma * dt);
-            float weight = transmittance * alpha;
-            out.color += fs[k].rgb * weight;
-            out.depth += ts[k] * weight;
-            transmittance *= 1.0f - alpha;
-            if (transmittance < cfg.earlyStopTransmittance) {
-                stopped = true;
-                break;
-            }
-        }
-    }
-
-    out.color += cfg.background * transmittance;
-    out.depth += cfg.tFar * transmittance;
-    out.opacity = 1.0f - transmittance;
-    return out;
 }
 
 void
@@ -261,7 +208,7 @@ VolumeRenderer::renderRays(NerfField &field, const Ray *rays,
         field.queryStream(pts, total, spans, dirs, num_alive, fs,
                           nullptr, ws);
 
-        // Per-ray composite of this block, same fold as renderRayFast:
+        // Per-ray composite of this block, the fold of renderRay:
         // block boundaries never change the arithmetic, only how many
         // samples were queried ahead of the early stop.
         int kept = 0;

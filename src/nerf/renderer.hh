@@ -154,27 +154,20 @@ class VolumeRenderer
                      bool update_color = true) const;
 
     /**
-     * Eval-path march with scalar semantics (bin centers, early stop)
-     * but arena scratch instead of per-call heap allocation: samples
-     * are queried in small blocks, and compositing stops exactly where
-     * renderRay would. Color/depth match renderRay bit-exactly; the
-     * field's query count may overshoot by at most one block.
-     */
-    RayResult renderRayFast(NerfField &field, const Ray &ray,
-                            Workspace &ws) const;
-
-    /**
-     * Multi-ray eval-path march: renderRayFast over a whole batch at
-     * stream width. Rays advance in lockstep sample blocks; each
-     * block's surviving samples (occupancy-filtered, bin centers) from
-     * *all* still-alive rays form one compacted stream queried with a
-     * single NerfField::queryStream call, and rays whose transmittance
-     * crosses the early-stop threshold drop out of later blocks. The
-     * per-sample compositing fold is per ray and in t order, so
-     * results[r] is bit-identical to renderRayFast (and renderRay) on
-     * ray r for ANY batch composition -- the property the render
-     * service's cross-request batching relies on. Like renderRayFast,
-     * the query count may overshoot the composited samples by up to
+     * The eval march (bin centers, occupancy skipping, early stop),
+     * run by Trainer::renderImage/renderDepth one ray per call and by
+     * the render service over whole chunks, with all scratch from ws.
+     * Rays advance in lockstep 16-bin blocks; each block's surviving
+     * samples from *all* still-alive rays form one compacted stream
+     * queried with a single NerfField::queryStream call, and rays
+     * whose transmittance crosses the early-stop threshold drop out of
+     * later blocks. The compositing fold is per ray and in t order, so
+     * results[r] is bit-identical for ANY batch composition in every
+     * build -- the property the render service's cross-request
+     * batching relies on. It equals renderRay on ray r where the
+     * compiler contracts no mul+add into an FMA, and is within the
+     * kernel backends' tolerance otherwise. The query count (and an
+     * attached trace) may overshoot the composited samples by up to
      * one block per ray.
      */
     void renderRays(NerfField &field, const Ray *rays, int numRays,
@@ -195,8 +188,9 @@ class VolumeRenderer
     /**
      * Stages 2-3: one NerfField::queryStream over the whole stream,
      * then per-ray alpha compositing (results[r] is bit-equal to
-     * rendering a stream that holds ray r alone). With `rec`,
-     * early-stop stays disabled so gradients reach all samples.
+     * rendering a stream that holds ray r alone). `rec` is required:
+     * it is filled for backwardStream(), and no ray stops early, so
+     * gradients reach all samples.
      */
     void renderStream(NerfField &field, const SampleStream &stream,
                       RayResult *results, StreamRecord *rec,
@@ -207,8 +201,8 @@ class VolumeRenderer
      * producing the stream's (d_sigma, d_rgb, skip) arrays, then one
      * NerfField::backwardStream in ray-ascending, sample-descending
      * order -- bit-identical gradients to backward passes over one-ray
-     * streams taken in ray order. Accumulates into `target` shards
-     * (nullptr = the field's own gradient buffers).
+     * streams taken in ray order. Accumulates into the required
+     * `target` shard set.
      */
     void backwardStream(NerfField &field, const SampleStream &stream,
                         const StreamRecord &rec, const Vec3 *d_colors,

@@ -48,6 +48,7 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
 {
     fatalIf(data.trainViews.empty(), "Trainer needs training views");
     fatalIf(cfg.raysPerBatch < 1, "raysPerBatch must be positive");
+    fatalIf(cfg.samplesPerRay < 1, "samplesPerRay must be positive");
     fatalIf(cfg.densityUpdatePeriod < 1 || cfg.colorUpdatePeriod < 1,
             "update periods must be >= 1");
     fatalIf(cfg.gradShards < 1, "gradShards must be positive");
@@ -362,9 +363,12 @@ Trainer::saveCheckpoint(const std::string &path)
 }
 
 /**
- * Shared pixel loop for renderImage/renderDepth: parallel over rows
- * (each row writes disjoint output), serialized when a trace sink is
- * attached so trace order stays program order.
+ * Shared pixel loop for renderImage/renderDepth: every pixel is one
+ * VolumeRenderer::renderRays call on its own ray, the march served
+ * tiles run, so no pixel depends on the thread count or on an
+ * attached trace sink. Parallel over rows (each row writes disjoint
+ * output), serialized when a trace sink is attached so trace order
+ * stays program order.
  */
 void
 Trainer::forEachPixel(
@@ -377,28 +381,20 @@ Trainer::forEachPixel(
     // sequence every subsequent touch would replay).
     syncParams();
 
-    // With a trace sink attached, renderRayFast would emit reads for
-    // the queried-but-uncomposited tail of an early-stopped block; the
-    // scalar march keeps eval traces exactly reference-shaped.
-    const bool exact = fieldPtr->traceAttached();
-
     auto render_row = [&](int row, int rank) {
         Workspace &ws = workspaces[rank];
         for (int col = 0; col < camera.imageWidth(); col++) {
-            Ray ray = camera.pixelRay(col, row);
-            if (exact) {
-                emit(col, row, rendererPtr->renderRay(*fieldPtr, ray));
-            } else {
-                ws.reset();
-                emit(col, row,
-                     rendererPtr->renderRayFast(*fieldPtr, ray, ws));
-            }
+            const Ray ray = camera.pixelRay(col, row);
+            RayResult res;
+            ws.reset();
+            rendererPtr->renderRays(*fieldPtr, &ray, 1, &res, ws);
+            emit(col, row, res);
         }
     };
 
-    if (exact) {
-        // Serial in program order: trace records must arrive in the
-        // same order a sequential run would produce.
+    if (fieldPtr->traceAttached()) {
+        // Serial in program order: sinks take records from one thread,
+        // in the order a sequential run would produce them.
         for (int row = 0; row < camera.imageHeight(); row++)
             render_row(row, 0);
     } else {

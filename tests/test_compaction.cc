@@ -4,7 +4,7 @@
  *
  *  - OccupancyGrid::update() is deterministic (fixed seed -> identical
  *    grid) and its batched row queries match scalar field probes.
- *  - queryStream over a multi-ray stream matches per-ray queryBatch
+ *  - queryStream over a multi-ray stream matches one-ray streams
  *    bit-exactly.
  *  - A traced iteration (one ray per stream, so the trace keeps program
  *    order) trains bit-identically to the untraced chunk-wide stream,
@@ -122,7 +122,7 @@ TEST(OccupancyUpdateTest, BatchedRowsMatchScalarProbes)
 
 // ---- queryStream -------------------------------------------------------
 
-TEST(SampleStreamTest, QueryStreamMatchesPerRayQueryBatch)
+TEST(SampleStreamTest, QueryStreamMatchesOneRayStreams)
 {
     NerfField stream_field(smallField(), 21);
     NerfField ray_field(smallField(), 21);
@@ -153,10 +153,11 @@ TEST(SampleStreamTest, QueryStreamMatchesPerRayQueryBatch)
     std::vector<FieldSample> ray_out(n);
     for (int ray = 0; ray < num_rays; ray++) {
         ws_ray.reset();
-        ray_field.queryBatch(pts.data() + spans[ray].offset,
-                             spans[ray].count, dirs[ray],
-                             ray_out.data() + spans[ray].offset, nullptr,
-                             ws_ray);
+        const RaySpan span{0, spans[ray].count};
+        ray_field.queryStream(pts.data() + spans[ray].offset,
+                              spans[ray].count, &span, &dirs[ray], 1,
+                              ray_out.data() + spans[ray].offset, nullptr,
+                              ws_ray);
     }
 
     for (int s = 0; s < n; s++) {

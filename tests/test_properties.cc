@@ -299,6 +299,22 @@ TEST(DeathTest, OccupancyRefreshPeriodBelowOneIsFatal)
                 ::testing::ExitedWithCode(1), "occupancyUpdatePeriod");
 }
 
+TEST(DeathTest, SamplesPerRayBelowOneIsFatal)
+{
+    DatasetConfig dcfg;
+    dcfg.numTrainViews = 1;
+    dcfg.numTestViews = 1;
+    dcfg.imageWidth = 8;
+    dcfg.imageHeight = 8;
+    Dataset ds = makeDataset(makeSyntheticScene("lego"), dcfg);
+    for (int samples : {0, -1}) {
+        TrainConfig tcfg;
+        tcfg.samplesPerRay = samples;
+        EXPECT_EXIT(Trainer(ds, FieldConfig{}, tcfg),
+                    ::testing::ExitedWithCode(1), "samplesPerRay");
+    }
+}
+
 TEST(DeathTest, OccupancyProbeCountBelowOneIsFatal)
 {
     for (int probes : {0, -1}) {

@@ -311,9 +311,10 @@ TEST(SerializeTest, MidTrainingCheckpointSettledAndNonPerturbing)
     Workspace ws;
     for (int row = 0; row < cam.imageHeight(); row++) {
         for (int col = 0; col < cam.imageWidth(); col++) {
+            const Ray ray = cam.pixelRay(col, row);
+            RayResult res;
             ws.reset();
-            RayResult res = renderer.renderRayFast(
-                loaded, cam.pixelRay(col, row), ws);
+            renderer.renderRays(loaded, &ray, 1, &res, ws);
             const Vec3 &expect = live.at(col, row);
             ASSERT_EQ(res.color.x, expect.x);
             ASSERT_EQ(res.color.y, expect.y);

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "scene/scene.hh"
 #include "serve/render_service.hh"
 #include "serve/scene_registry.hh"
+#include "trace/mem_trace.hh"
 
 namespace instant3d {
 namespace {
@@ -123,6 +126,32 @@ expectImagesEqual(const Image &a, const Image &b)
     }
 }
 
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA) || \
+    defined(__aarch64__)
+// FMA-capable build: the compiler may contract mul+add pairs in the
+// batched kernels and not in the per-sample reference (or vice versa),
+// so agreement with renderRay is tolerance-bounded rather than bitwise
+// (the kernel backends' contract, tests/test_kernel_backends.cc).
+constexpr bool kReferenceBitExact = false;
+#else
+constexpr bool kReferenceBitExact = true;
+#endif
+
+/** renderRay agreement: equal without FMA, 1e-5 relative with it. */
+::testing::AssertionResult
+matchesReference(float ref, float got)
+{
+    const bool ok =
+        kReferenceBitExact
+            ? got == ref
+            : std::fabs(got - ref) <= 1e-5f * std::max(1.0f, std::fabs(ref));
+    if (ok)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << got << " vs renderRay's " << ref
+           << (kReferenceBitExact ? " (non-FMA build)" : " (FMA build)");
+}
+
 /** Shared fixture: one trained scene, slow-but-thorough setup once. */
 class ServeTest : public ::testing::Test
 {
@@ -164,7 +193,12 @@ Trainer *ServeTest::legoTrainer = nullptr;
 Dataset *ServeTest::materials = nullptr;
 Trainer *ServeTest::materialsTrainer = nullptr;
 
-TEST_F(ServeTest, RenderRaysMatchesRenderRayFastAnyBatching)
+/**
+ * renderRays is batch-invariant: any split of an image's rays into
+ * calls reproduces one-ray calls bit for bit, in every build. Each ray
+ * also matches the per-sample reference renderRay under the FMA rule.
+ */
+TEST_F(ServeTest, RenderRaysMatchesOneRayCallsAndReference)
 {
     NerfField &field = legoTrainer->field();
     const VolumeRenderer &renderer = legoTrainer->renderer();
@@ -180,12 +214,19 @@ TEST_F(ServeTest, RenderRaysMatchesRenderRayFastAnyBatching)
     std::vector<RayResult> expect(rays.size());
     for (size_t r = 0; r < rays.size(); r++) {
         ref_ws.reset();
-        expect[r] = renderer.renderRayFast(field, rays[r], ref_ws);
+        renderer.renderRays(field, &rays[r], 1, &expect[r], ref_ws);
+        const RayResult ref = renderer.renderRay(field, rays[r]);
+        ASSERT_TRUE(matchesReference(ref.color.x, expect[r].color.x))
+            << "ray " << r;
+        ASSERT_TRUE(matchesReference(ref.color.y, expect[r].color.y));
+        ASSERT_TRUE(matchesReference(ref.color.z, expect[r].color.z));
+        ASSERT_TRUE(matchesReference(ref.depth, expect[r].depth));
+        ASSERT_TRUE(matchesReference(ref.opacity, expect[r].opacity));
     }
 
     // Whole image in one call, tiny batches, and odd-size batches all
-    // reproduce the per-ray path bit-for-bit.
-    for (int batch : {256, 1, 7, 100}) {
+    // reproduce the one-ray calls bit-for-bit.
+    for (int batch : {256, 7, 100}) {
         Workspace ws;
         std::vector<RayResult> got(rays.size());
         for (size_t r0 = 0; r0 < rays.size();
@@ -204,6 +245,52 @@ TEST_F(ServeTest, RenderRaysMatchesRenderRayFastAnyBatching)
             ASSERT_EQ(got[r].color.z, expect[r].color.z);
             ASSERT_EQ(got[r].depth, expect[r].depth);
             ASSERT_EQ(got[r].opacity, expect[r].opacity);
+        }
+    }
+}
+
+/**
+ * Trainer::renderImage/renderDepth run the served march whether or not
+ * a trace sink is attached: traced renders (serial, recording every
+ * grid read) equal untraced ones (over the pool) bit for bit in every
+ * build, and every pixel matches renderRay under the FMA rule.
+ */
+TEST_F(ServeTest, EvalRendersAreTraceNeutralAndMatchReference)
+{
+    Trainer &trainer = *legoTrainer;
+    Camera cam = latticeCamera(24, 24).makeCamera();
+    const Image plain = trainer.renderImage(cam);
+    const std::vector<float> plain_depth = trainer.renderDepth(cam);
+
+    NerfField &field = trainer.field();
+    MemTraceCollector density_trace, color_trace;
+    field.densityGrid().setTraceSink(&density_trace);
+    field.colorGrid().setTraceSink(&color_trace);
+    const Image traced = trainer.renderImage(cam);
+    const std::vector<float> traced_depth = trainer.renderDepth(cam);
+    field.densityGrid().setTraceSink(nullptr);
+    field.colorGrid().setTraceSink(nullptr);
+    EXPECT_FALSE(density_trace.reads().empty());
+    EXPECT_FALSE(color_trace.reads().empty());
+
+    expectImagesEqual(traced, plain);
+    ASSERT_EQ(traced_depth.size(), plain_depth.size());
+    for (size_t i = 0; i < plain_depth.size(); i++)
+        ASSERT_EQ(traced_depth[i], plain_depth[i]) << "depth " << i;
+
+    for (int row = 0; row < cam.imageHeight(); row++) {
+        for (int col = 0; col < cam.imageWidth(); col++) {
+            const RayResult ref =
+                trainer.renderer().renderRay(field, cam.pixelRay(col, row));
+            const Vec3 &px = plain.at(col, row);
+            ASSERT_TRUE(matchesReference(ref.color.x, px.x))
+                << "pixel (" << col << "," << row << ")";
+            ASSERT_TRUE(matchesReference(ref.color.y, px.y));
+            ASSERT_TRUE(matchesReference(ref.color.z, px.z));
+            ASSERT_TRUE(matchesReference(
+                ref.depth,
+                plain_depth[static_cast<size_t>(row) * cam.imageWidth() +
+                            col]));
         }
     }
 }

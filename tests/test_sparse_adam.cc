@@ -602,7 +602,7 @@ scalarSweeps(NerfField &field, const OccupancyGridConfig &ocfg, Rng rng,
 /**
  * Refresh probes query the density branch alone, in blocks spread over
  * a thread pool, and change nothing in any FieldMode: queryDensity's
- * sigma equals queryBatch's and query()'s bit for bit; full sweeps over
+ * sigma equals queryStream's and query()'s bit for bit; full sweeps over
  * pools of 1, 2 and 8 threads equal the scalar replay; partial rounds
  * over those pools equal the inline rounds; and Coupled and Vanilla
  * trainers with occupancy on train bit-identically at 1, 2 and 8
@@ -640,11 +640,13 @@ TEST(PartialRefreshTest, DensityOnlyPooledRefreshIsExactInEveryMode)
         field.queryDensity(pts.data(), n, sigma.data(), ws);
         EXPECT_EQ(field.queryCount() - before, static_cast<uint64_t>(n));
         ws.reset();
-        field.queryBatch(pts.data(), n, {0.0f, 0.0f, 1.0f}, fs.data(),
-                         nullptr, ws);
+        const RaySpan span{0, n};
+        const Vec3 dir{0.0f, 0.0f, 1.0f};
+        field.queryStream(pts.data(), n, &span, &dir, 1, fs.data(),
+                          nullptr, ws);
         for (int s = 0; s < n; s++) {
             ASSERT_EQ(sigma[s], fs[s].sigma) << "point " << s;
-            ASSERT_EQ(sigma[s], field.query(pts[s], {0.0f, 0.0f, 1.0f}).sigma)
+            ASSERT_EQ(sigma[s], field.query(pts[s], dir).sigma)
                 << "point " << s;
         }
 
