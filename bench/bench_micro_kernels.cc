@@ -11,20 +11,12 @@
 #include "accel/bum.hh"
 #include "accel/frm.hh"
 #include "common/rng.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 #include "nerf/adam.hh"
 #include "nerf/renderer.hh"
 
 namespace instant3d {
 namespace {
-
-/** Backend selector for the per-backend micro-benches: benchmark
- *  args are indices into this table. */
-std::unique_ptr<KernelBackend>
-benchBackend(int64_t idx)
-{
-    return idx == 0 ? makeScalarRefBackend() : makeSimdBackend();
-}
 
 HashEncodingConfig
 benchGrid()
@@ -94,15 +86,12 @@ BM_MlpBackward(benchmark::State &state)
 BENCHMARK(BM_MlpBackward);
 
 /**
- * The GEMM-style MLP forward panel through one kernel backend
- * (arg 0 = scalar_ref, 1 = simd): one training chunk's worth of
- * samples through a hidden-width-32 layer.
+ * The GEMM-style MLP forward panel kernel: one training chunk's worth
+ * of samples through a hidden-width-32 layer.
  */
 void
 BM_MlpForwardPanel(benchmark::State &state)
 {
-    auto kb = benchBackend(state.range(0));
-    state.SetLabel(kb->name());
     const int n = 1024, n_in = 32, n_out = 32;
     Rng r(4);
     std::vector<float> in(static_cast<size_t>(n) * n_in);
@@ -119,27 +108,23 @@ BM_MlpForwardPanel(benchmark::State &state)
     Workspace ws;
     for (auto _ : state) {
         ws.reset();
-        kb->mlpForwardPanel(in.data(), n, n_in, n_out, w.data(),
-                            b.data(), out.data(), ws);
+        mlpForwardPanel(in.data(), n, n_in, n_out, w.data(), b.data(),
+                        out.data(), ws);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n) * n_in * n_out);
 }
-BENCHMARK(BM_MlpForwardPanel)->Arg(0)->Arg(1);
+BENCHMARK(BM_MlpForwardPanel);
 
 /**
- * A chunk-sized encodeBatch through one kernel backend (arg 0 =
- * scalar_ref, 1 = simd): the interpolation gather is the backend
- * seam; the integer corner phase is shared.
+ * A chunk-sized recorded encodeBatch: the integer corner phase, then
+ * one hashInterpBatch gather.
  */
 void
 BM_EncodeBatch(benchmark::State &state)
 {
     HashEncoding enc(benchGrid(), 1);
-    auto kb = benchBackend(state.range(0));
-    state.SetLabel(kb->name());
-    enc.setKernelBackend(kb.get());
 
     const int n = 16 * 48; // one chunk: rays x samples
     Rng r(6);
@@ -152,14 +137,14 @@ BM_EncodeBatch(benchmark::State &state)
     for (auto _ : state) {
         ws.reset();
         // Recorded, like the training hot path: the no-record path
-        // keeps the fused scalar loop and never dispatches.
+        // keeps the fused scalar loop and never runs the gather.
         EncodeBatchRecord rec;
         enc.encodeBatch(pts.data(), n, out.data(), &rec, ws);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EncodeBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_EncodeBatch);
 
 void
 BM_FieldQuery(benchmark::State &state)

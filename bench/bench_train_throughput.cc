@@ -9,8 +9,7 @@
  *  - With a converged occupancy grid: the chunk-level compacted sample
  *    stream ("compacted") vs the same stream with the full-table-scan
  *    dense optimizer ("compacted+dense_opt", the sparse-optimizer
- *    regression baseline) vs the stream on the simd kernel backend
- *    ("compacted+simd"), at 1 and 8 threads.
+ *    regression baseline), at 1 and 8 threads.
  *
  * Every mode row carries a per-phase breakdown (march / forward /
  * backward / reduce / optimizer / zero_grad / occ_refresh) read from
@@ -43,7 +42,7 @@
 #include "bench_common.hh"
 #include "common/cpu_features.hh"
 #include "core/instant3d_config.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 #include "obs/telemetry.hh"
 
 namespace instant3d {
@@ -83,7 +82,6 @@ mergePhases(PhaseSnapshots &acc)
 struct ModeResult
 {
     std::string mode;
-    std::string backend; //!< Resolved kernel-backend name of the run.
     int threads = 1;
     int iterations = 0;
     double seconds = 0.0;        //!< Hot-path iterations only.
@@ -179,12 +177,6 @@ struct ModeSpec
     std::string name;
     int threads = 1;
     bool sparseOpt = true; //!< The new default; false = dense Adam.
-    /**
-     * Kernel backend of the run. The historical rows pin scalar_ref
-     * so their numbers stay comparable across PRs (the default is
-     * simd); the explicit +simd row measures the fast backend.
-     */
-    std::string backend = "scalar_ref";
 };
 
 TrainConfig
@@ -193,7 +185,6 @@ modeConfig(const Workload &w, const ModeSpec &spec, bool use_occupancy)
     TrainConfig tcfg = w.train;
     tcfg.numThreads = spec.threads;
     tcfg.sparseOptimizer = spec.sparseOpt;
-    tcfg.kernelBackend = spec.backend;
     if (use_occupancy) {
         // Converge the grid during warmup: frequent refreshes and a
         // fast decay clear empty space within a few dozen iterations
@@ -231,7 +222,6 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
     uint64_t points = trainer.totalPointsQueried() - points_before;
 
     r.mode = spec.name;
-    r.backend = trainer.kernelBackendName();
     r.threads = spec.threads;
     r.iterations = iters;
     r.seconds = secs;
@@ -247,8 +237,8 @@ runMode(const Workload &w, const ModeSpec &spec, int iters)
 }
 
 /**
- * The occupancy-grid family (compacted vs +dense_opt vs +simd) at one
- * thread count. All modes run concurrently constructed trainers
+ * The occupancy-grid family (compacted vs +dense_opt) at one thread
+ * count. All modes run concurrently constructed trainers
  * and are timed in interleaved blocks, so machine drift hits every
  * mode equally; occupancy-refresh iterations (identical work in every
  * mode) are timed separately from hot-path iterations so the refresh
@@ -276,7 +266,6 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
             w.dataset, w.field, modeConfig(w, spec, true)));
         ModeResult r;
         r.mode = spec.name;
-        r.backend = trainers.back()->kernelBackendName();
         r.threads = spec.threads;
         results.push_back(r);
     }
@@ -331,15 +320,40 @@ runOccupancyFamily(const Workload &w, const std::vector<ModeSpec> &specs,
 }
 
 /**
- * Kernel-level speedup probes, decoupled from the full-pipeline rows
- * so the CI gate measures the kernels themselves (a tiny workload's
- * pipeline can hide a kernel regression behind fixed costs).
+ * Kernel-level speedup probe, decoupled from the full-pipeline rows so
+ * the CI gate measures the kernel itself (a tiny workload's pipeline
+ * can hide a kernel regression behind fixed costs).
  */
 
-/** Seconds for one batch of MLP forward panels through `kb` (best of
- *  several repetitions; the panel shape matches a training chunk). */
+/** The reference forward-panel loop (Mlp::forward's arithmetic over a
+ *  batch): the denominator of simd_vs_scalar_kernels. */
+void
+refForwardPanel(const float *in, int n, int n_in, int n_out,
+                const float *w, const float *b, float *out, Workspace &)
+{
+    for (int s = 0; s < n; s++) {
+        const float *x = in + static_cast<size_t>(s) * n_in;
+        float *y = out + static_cast<size_t>(s) * n_out;
+        for (int o = 0; o < n_out; o++) {
+            float acc = b[o];
+            const float *wrow = w + static_cast<size_t>(o) * n_in;
+            for (int i = 0; i < n_in; i++)
+                acc += wrow[i] * x[i];
+            y[o] = acc;
+        }
+    }
+}
+
+using PanelFn = void (*)(const float *, int, int, int, const float *,
+                         const float *, float *, Workspace &);
+
+/** Seconds for one batch of MLP forward panels through `panel` (best
+ *  of several repetitions; the panel shape matches a training chunk).
+ *  `panel` is a template argument, so the compiler may specialise the
+ *  reference loop to the fixed shape: that makes the gate harder. */
+template <PanelFn panel>
 double
-mlpPanelSeconds(const KernelBackend &kb)
+mlpPanelSeconds()
 {
     const int n = 1024, n_in = 32, n_out = 32, calls = 24;
     Rng r(3);
@@ -360,8 +374,8 @@ mlpPanelSeconds(const KernelBackend &kb)
         double t0 = now();
         for (int c = 0; c < calls; c++) {
             ws.reset();
-            kb.mlpForwardPanel(in.data(), n, n_in, n_out, w.data(),
-                               b.data(), out.data(), ws);
+            panel(in.data(), n, n_in, n_out, w.data(), b.data(),
+                  out.data(), ws);
         }
         best = std::min(best, now() - t0);
     }
@@ -393,12 +407,6 @@ int
 main(int argc, char **argv)
 {
     using namespace instant3d;
-
-    // Every row pins its backend explicitly (that is the experiment);
-    // a leftover INSTANT3D_KERNEL_BACKEND from a manual parity check
-    // would silently override all of them and flatten the per-backend
-    // speedups, so drop it up front.
-    ::unsetenv("INSTANT3D_KERNEL_BACKEND");
 
     std::string out_path =
         argc > 1 ? argv[1] : "BENCH_train_throughput.json";
@@ -439,29 +447,19 @@ main(int argc, char **argv)
         std::vector<ModeSpec> occ_specs = {
             {"compacted", threads},
             {"compacted+dense_opt", threads, false},
-            // Same compacted pipeline on the fast kernel backend.
-            {"compacted+simd", threads, true, "simd"},
         };
         for (auto &r : runOccupancyFamily(occ_w, occ_specs, occ_iters))
             results.push_back(r);
     }
 
-    // Kernel-level probe: the CI gate for the simd backend.
-    auto scalar_kb = makeScalarRefBackend();
-    auto simd_kb = makeSimdBackend();
-    double panel_scalar_s = mlpPanelSeconds(*scalar_kb);
-    double panel_simd_s = mlpPanelSeconds(*simd_kb);
-    double simd_vs_scalar_kernels = panel_scalar_s / panel_simd_s;
-
-    // The backend an untouched default config resolves to.
-    std::string default_backend =
-        createKernelBackend(TrainConfig{}.kernelBackend)->name();
+    // Kernel-level probe: the CI gate for the vectorized panel.
+    double panel_ref_s = mlpPanelSeconds<refForwardPanel>();
+    double panel_kernel_s = mlpPanelSeconds<mlpForwardPanel>();
+    double simd_vs_scalar_kernels = panel_ref_s / panel_kernel_s;
 
     double sparse_vs_dense_opt =
         find(results, "compacted", 1).raysPerSec /
         find(results, "compacted+dense_opt", 1).raysPerSec;
-    double simd_e2e_1t = find(results, "compacted+simd", 1).raysPerSec /
-                         find(results, "compacted", 1).raysPerSec;
 
     std::string json;
     char buf[1024];
@@ -470,21 +468,19 @@ main(int argc, char **argv)
         "{\n"
         "  \"bench\": \"train_throughput\",\n"
         "  \"hardware_concurrency\": %u,\n"
-        "  \"kernel_backends\": {\n"
-        "    \"default\": \"%s\",\n"
+        "  \"kernels\": {\n"
         "    \"cpu_features\": \"%s\",\n"
         "    \"simd_compiled\": \"%s\",\n"
-        "    \"mlp_panel_seconds\": {\"scalar_ref\": %.6f, "
-        "\"simd\": %.6f}\n"
+        "    \"mlp_panel_seconds\": {\"reference\": %.6f, "
+        "\"kernel\": %.6f}\n"
         "  },\n"
         "  \"workload\": {\"scene\": \"lego\", \"rays_per_batch\": %d, "
         "\"samples_per_ray\": %d, \"grid_levels\": %d, "
         "\"log2_table\": %u, \"hidden_dim\": %d},\n"
         "  \"occ_workload\": {\"log2_table\": %u},\n"
         "  \"results\": [\n",
-        std::thread::hardware_concurrency(), default_backend.c_str(),
-        cpuFeatureString().c_str(), compiledSimdString().c_str(),
-        panel_scalar_s, panel_simd_s,
+        std::thread::hardware_concurrency(), cpuFeatureString().c_str(),
+        compiledSimdString().c_str(), panel_ref_s, panel_kernel_s,
         w.train.raysPerBatch, w.train.samplesPerRay,
         w.field.densityGrid.numLevels,
         w.field.densityGrid.log2TableSize, w.field.hiddenDim,
@@ -494,8 +490,7 @@ main(int argc, char **argv)
         const auto &r = results[i];
         std::snprintf(
             buf, sizeof(buf),
-            "    {\"mode\": \"%s\", \"backend\": \"%s\", "
-            "\"threads\": %d, "
+            "    {\"mode\": \"%s\", \"threads\": %d, "
             "\"iterations\": %d, \"seconds\": %.4f, "
             "\"occ_update_seconds\": %.4f, \"occ_updates\": %d, "
             "\"occ_update_ms_per_refresh\": %.3f, "
@@ -505,7 +500,7 @@ main(int argc, char **argv)
             "\"sparse_entries_per_iter\": %.1f, "
             "\"sparse_active_entries\": %.0f,\n"
             "     \"phases\": {",
-            r.mode.c_str(), r.backend.c_str(), r.threads,
+            r.mode.c_str(), r.threads,
             r.iterations, r.seconds,
             r.updateSeconds, r.updates,
             r.updates ? r.updateSeconds * 1e3 / r.updates : 0.0,
@@ -530,12 +525,10 @@ main(int argc, char **argv)
                   "  ],\n"
                   "  \"speedups\": {\n"
                   "    \"sparse_vs_dense_optimizer\": %.3f,\n"
-                  "    \"simd_vs_scalar_kernels\": %.3f,\n"
-                  "    \"simd_backend_e2e_1t\": %.3f\n"
+                  "    \"simd_vs_scalar_kernels\": %.3f\n"
                   "  }\n"
                   "}\n",
-                  sparse_vs_dense_opt, simd_vs_scalar_kernels,
-                  simd_e2e_1t);
+                  sparse_vs_dense_opt, simd_vs_scalar_kernels);
     json += buf;
 
     std::fputs(json.c_str(), stdout);

@@ -35,9 +35,12 @@ awk -v s="$sparse" 'BEGIN {
     print "bench_smoke: sparse_vs_dense_optimizer=" s " (>= 1.0 ok)"
 }'
 
-# Regression gate: the simd kernel backend must not lose to the scalar
-# reference on the MLP-panel probe (measured ~2.5x on the SSE2
-# baseline build; 1.0 is the hard floor).
+# Regression gate: the vectorized MLP forward-panel kernel must not
+# lose to a copy of the per-sample reference loop timed in the bench
+# (measured ~2x on the SSE2 baseline build; 1.0 is the hard floor).
+# Parity is the tests' job: the batched kernels match the per-sample
+# references bitwise without FMA and to 1e-5 relative with it
+# (tests/test_kernels.cc).
 simd=$(grep -o '"simd_vs_scalar_kernels": [0-9.]*' \
            BENCH_train_throughput.json | awk '{print $2}')
 awk -v s="$simd" 'BEGIN {
@@ -49,7 +52,7 @@ awk -v s="$simd" 'BEGIN {
 }'
 # Anchored to the block's own 2-space close so the nested one-line
 # objects inside don't end the range early.
-sed -n '/"kernel_backends"/,/^  },/p' BENCH_train_throughput.json
+sed -n '/"kernels"/,/^  },/p' BENCH_train_throughput.json
 
 # Render-serving bench: trains one tiny scene and measures the three
 # serving ratio gates below. Serving latency under load is perfbench's

@@ -1,11 +1,11 @@
 /**
  * @file
- * CPU SIMD feature detection for the kernel-backend layer.
+ * CPU SIMD feature detection for the batched kernels (src/kernels).
  *
  * Two views are reported and both land in BENCH_train_throughput.json:
  * what the *machine* supports at runtime (detectCpuFeatures) and what
- * the *build* was compiled to use (compiledSimdString) -- the simd
- * backend's portable loops only ever emit the compiled ISA, so the
+ * the *build* was compiled to use (compiledSimdString) -- the
+ * kernels' portable loops only ever emit the compiled ISA, so the
  * pair shows at a glance whether a bench host left vector width on
  * the table (e.g. an AVX2 machine running a baseline SSE2 build).
  */

@@ -7,7 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 
 namespace instant3d {
 
@@ -64,9 +64,8 @@ Adam::step(std::vector<float> &params, const std::vector<float> &grads)
     kp.l2Reg = cfg.l2Reg;
     kp.bc1 = bc1;
     kp.bc2 = bc2;
-    resolveBackend(kernelBackend)
-        .adamDenseStep(params.data(), grads.data(), m.data(), v.data(),
-                       params.size(), kp);
+    adamDenseStep(params.data(), grads.data(), m.data(), v.data(),
+                  params.size(), kp);
 }
 
 void

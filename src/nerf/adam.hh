@@ -43,7 +43,6 @@
 
 namespace instant3d {
 
-class KernelBackend;
 class ThreadPool;
 
 /** Adam hyper-parameters. */
@@ -91,7 +90,7 @@ class Adam
      * number of touched entries.
      *
      * `touched` is a bitmap with one bit per entry, touchEntryWords
-     * (kernels/kernel_backend.hh) words long: bit e covers floats
+     * (kernels/kernels.hh) words long: bit e covers floats
      * [e * span, (e + 1) * span). NerfField::dirtyEntries() has this
      * layout. Panics on any other length or on a bit set past the
      * last entry.
@@ -129,15 +128,6 @@ class Adam
 
     uint64_t stepCount() const { return t; }
     const AdamConfig &config() const { return cfg; }
-
-    /**
-     * Route the dense step through the given kernel backend's
-     * adamDenseStep kernel; nullptr means simd. Safe to change between
-     * steps. The sparse sweep is a block loop of its own that no
-     * backend replaces.
-     */
-    void setKernelBackend(const KernelBackend *backend)
-    { kernelBackend = backend; }
 
   private:
     /** Advance t and the incremental 1 - b^t bias corrections. */
@@ -188,7 +178,6 @@ class Adam
      */
     std::vector<uint64_t> activeBits;
     size_t activeCount = 0;
-    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 
 namespace instant3d {
 
@@ -706,27 +706,14 @@ NerfField::reduceGradients(std::span<FieldGradients> shards,
         }
     }
 
-    const KernelBackend &kb = resolveBackend(kernelBackend);
     for (FieldGradients &fg : shards) {
         if (!fg.densityMlp.v.empty())
-            kb.reduceDense(densityMlpPtr->grads().data(),
-                           fg.densityMlp.v.data(), fg.densityMlp.v.size());
+            reduceDense(densityMlpPtr->grads().data(),
+                        fg.densityMlp.v.data(), fg.densityMlp.v.size());
         if (!fg.colorMlp.v.empty())
-            kb.reduceDense(colorMlpPtr->grads().data(),
-                           fg.colorMlp.v.data(), fg.colorMlp.v.size());
+            reduceDense(colorMlpPtr->grads().data(),
+                        fg.colorMlp.v.data(), fg.colorMlp.v.size());
     }
-}
-
-void
-NerfField::setKernelBackend(const KernelBackend *backend)
-{
-    kernelBackend = backend;
-    if (densityGridPtr)
-        densityGridPtr->setKernelBackend(backend);
-    if (colorGridPtr)
-        colorGridPtr->setKernelBackend(backend);
-    densityMlpPtr->setKernelBackend(backend);
-    colorMlpPtr->setKernelBackend(backend);
 }
 
 bool

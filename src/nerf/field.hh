@@ -29,7 +29,6 @@
 
 namespace instant3d {
 
-class KernelBackend;
 class ThreadPool;
 
 /** Which architecture the field instantiates. */
@@ -147,7 +146,7 @@ struct RaySpan
 struct GradShard
 {
     std::vector<float> v;
-    /** Touch bitmap (touchBitmapWords in kernels/kernel_backend.hh):
+    /** Touch bitmap (touchBitmapWords in kernels/kernels.hh):
      *  one bit per entry, entry e covering floats [e * F, (e + 1) * F)
      *  of `v` with F the grid's featuresPerEntry, then one summary bit
      *  per entry word. Empty for dense shards. */
@@ -293,7 +292,7 @@ class NerfField
      * the group's gradients) was written since the last
      * zeroGrad/zeroGradDirty: the union of every reduceGradients()
      * call's writes since then. One bit per entry, touchEntryWords
-     * (kernels/kernel_backend.hh) words long, the layout
+     * (kernels/kernels.hh) words long, the layout
      * Adam::stepSparse() reads. Only grid groups have dirty bitmaps;
      * panics for MLP groups.
      */
@@ -310,14 +309,6 @@ class NerfField
      * zeroGrad() remains the full-scan fallback.
      */
     void zeroGradDirty();
-
-    /**
-     * Route this field's batched kernels through the given backend:
-     * propagates to both grids and both MLPs and is used for the
-     * field's own dense shard reduction. nullptr means simd
-     * everywhere.
-     */
-    void setKernelBackend(const KernelBackend *backend);
 
     /** True when any of this field's grids has a trace sink attached. */
     bool traceAttached() const;
@@ -377,7 +368,6 @@ class NerfField
     bool trackDirty = false;
     std::vector<uint64_t> dirtyDensity; //!< See dirtyEntries().
     std::vector<uint64_t> dirtyColor;
-    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 /** Softplus density activation and its derivative. */

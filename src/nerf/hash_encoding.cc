@@ -5,7 +5,7 @@
 
 #include "common/half.hh"
 #include "common/logging.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 
 namespace instant3d {
 
@@ -185,7 +185,7 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
     // No record requested (eval blocks, occupancy probes): keep the
     // fused corners+interp loop -- nothing to materialize, and the
     // training hot path (which always records for backward) is where
-    // the backend seam pays.
+    // the batched gather pays.
     if (!rec) {
         const int dim = outputDim();
         for (int s = 0; s < n; s++) {
@@ -198,9 +198,9 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
 
     // Recorded path. Phase 1 (integer): corner addresses + weights +
     // trace records into the batch record. Phase 2 (float): one
-    // interpolation gather over the whole batch through the kernel
-    // backend. The split leaves per-point arithmetic and trace order
-    // exactly as encodeOne produces them.
+    // hashInterpBatch gather over the whole batch. The split leaves
+    // per-point arithmetic and trace order exactly as encodeOne
+    // produces them.
     rec->n = n;
     rec->addresses = ws.alloc<uint32_t>(static_cast<size_t>(n) * slots);
     rec->weights = ws.alloc<float>(static_cast<size_t>(n) * slots);
@@ -212,10 +212,9 @@ HashEncoding::encodeBatch(const Vec3 *pts, int n, float *out,
                       weight_slots + static_cast<size_t>(s) * slots,
                       traceSink, base + static_cast<uint32_t>(s));
     }
-    resolveBackend(kernelBackend)
-        .hashInterpBatch(table.data(), addr_slots, weight_slots, n,
-                         cfg.numLevels, cfg.featuresPerEntry,
-                         cfg.tableSize(), out);
+    hashInterpBatch(table.data(), addr_slots, weight_slots, n,
+                    cfg.numLevels, cfg.featuresPerEntry, cfg.tableSize(),
+                    out);
 }
 
 void
@@ -223,33 +222,15 @@ HashEncoding::backwardOne(const uint32_t *addrs, const float *ws,
                           const float *d_out, float *grad,
                           uint64_t *touched, TraceSink *sink) const
 {
-    const int fpe = cfg.featuresPerEntry;
-
-    // The hot path -- untraced scatter -- dispatches through the kernel
-    // backend; the traced variant keeps the reference loop below
-    // because record order is part of its contract.
-    if (!sink) {
-        resolveBackend(kernelBackend)
-            .hashScatterSample(addrs, ws, d_out, cfg.numLevels, fpe,
-                               cfg.tableSize(), grad, touched);
+    hashScatterSample(addrs, ws, d_out, cfg.numLevels,
+                      cfg.featuresPerEntry, cfg.tableSize(), grad,
+                      touched);
+    if (!sink)
         return;
-    }
-
-    const size_t entry_words = touchEntryWords(
-        static_cast<size_t>(cfg.numLevels) * cfg.tableSize());
     for (int l = 0; l < cfg.numLevels; l++) {
         for (int corner = 0; corner < 8; corner++) {
-            size_t slot = static_cast<size_t>(l) * 8 + corner;
-            uint32_t addr = addrs[slot];
-            float w = ws[slot];
-            size_t off = entryOffset(l, addr);
-            for (int f = 0; f < fpe; f++)
-                grad[off + f] += w * d_out[l * fpe + f];
-            if (touched)
-                markTouched(touched, entry_words,
-                            static_cast<size_t>(l) * cfg.tableSize() +
-                                addr);
-            sink->record({addr, static_cast<uint16_t>(l),
+            sink->record({addrs[static_cast<size_t>(l) * 8 + corner],
+                          static_cast<uint16_t>(l),
                           static_cast<uint8_t>(corner), true, 0});
         }
     }

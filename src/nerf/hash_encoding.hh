@@ -29,8 +29,6 @@
 
 namespace instant3d {
 
-class KernelBackend;
-
 /** Static configuration of one hash-grid encoding. */
 struct HashEncodingConfig
 {
@@ -129,7 +127,7 @@ class HashEncoding
      * Backward of sample s from a batch record into an external
      * gradient table `grad` (same shape as grads()). When `touched` is
      * non-null it is a touch bitmap over the numLevels * T entries
-     * (touchBitmapWords in kernels/kernel_backend.hh; entry e spans
+     * (touchBitmapWords in kernels/kernels.hh; entry e spans
      * floats [e * featuresPerEntry, (e + 1) * featuresPerEntry)), and
      * every entry this sample writes is marked in it, so the trainer
      * reduces a gradient shard by visiting only its written words.
@@ -176,15 +174,6 @@ class HashEncoding
     uint64_t writeCount() const
     { return writes.load(std::memory_order_relaxed); }
 
-    /**
-     * Route the batched kernels (encodeBatch interpolation, untraced
-     * backward scatters) through the given backend; nullptr means
-     * simd. The scalar encode()/backward() pair stays on the
-     * reference loops.
-     */
-    void setKernelBackend(const KernelBackend *backend)
-    { kernelBackend = backend; }
-
   private:
     /** Flat offset of (level, address, feature 0). */
     size_t
@@ -206,7 +195,7 @@ class HashEncoding
      * Integer phase of one encode: corner addresses, trilinear
      * weights, and trace records into caller slices (numLevels * 8),
      * without touching the embedding table. The recorded batched path
-     * pairs this with KernelBackend::hashInterpBatch; both this and
+     * pairs this with the hashInterpBatch kernel; both this and
      * encodeOne derive their corners from the shared levelCorners
      * kernel, so the two paths cannot drift.
      */
@@ -222,8 +211,10 @@ class HashEncoding
     void levelCorners(const Vec3 &q, int level, uint32_t *addr8,
                       float *w8) const;
 
-    /** Shared backward kernel over recorded address/weight slices;
-     *  `touched` as in backwardSample(). */
+    /** Shared backward over recorded address/weight slices: one
+     *  hashScatterSample call, then the slices' write records to
+     *  `sink` in (level, corner) order; `touched` as in
+     *  backwardSample(). */
     void backwardOne(const uint32_t *addrs, const float *ws,
                      const float *d_out, float *grad, uint64_t *touched,
                      TraceSink *sink) const;
@@ -236,7 +227,6 @@ class HashEncoding
     std::atomic<uint64_t> reads{0};
     std::atomic<uint64_t> writes{0};
     std::atomic<uint32_t> nextPointId{0};
-    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

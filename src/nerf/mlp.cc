@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 
 namespace instant3d {
 
@@ -161,7 +161,6 @@ void
 Mlp::forwardBatch(const float *in, int n, float *out, MlpBatchRecord *rec,
                   Workspace &ws) const
 {
-    const KernelBackend &kb = resolveBackend(kernelBackend);
     const int n_layers = numLayers();
     float *cur = ws.alloc<float>(static_cast<size_t>(n) * maxDim);
     float *nxt = ws.alloc<float>(static_cast<size_t>(n) * maxDim);
@@ -186,7 +185,7 @@ Mlp::forwardBatch(const float *in, int n, float *out, MlpBatchRecord *rec,
                       rec->activations + actOffsets[l] * n);
         }
 
-        kb.mlpForwardPanel(cur, n, n_in, n_out, w, b, nxt, ws);
+        mlpForwardPanel(cur, n, n_in, n_out, w, b, nxt, ws);
 
         if (rec) {
             std::copy(nxt, nxt + static_cast<size_t>(n) * n_out,
@@ -196,9 +195,9 @@ Mlp::forwardBatch(const float *in, int n, float *out, MlpBatchRecord *rec,
         const bool last = (l == n_layers - 1);
         const size_t count = static_cast<size_t>(n) * n_out;
         if (!last)
-            kb.reluPanel(nxt, count);
+            reluPanel(nxt, count);
         else if (outAct == OutputActivation::Sigmoid)
-            kb.sigmoidPanel(nxt, count);
+            sigmoidPanel(nxt, count);
         std::swap(cur, nxt);
     }
     std::copy(cur, cur + static_cast<size_t>(n) * dims.back(), out);
@@ -210,7 +209,6 @@ Mlp::backwardSample(const MlpBatchRecord &rec, int s, const float *d_out,
 {
     panicIf(s < 0 || s >= rec.n, "sample index outside batch record");
 
-    const KernelBackend &kb = resolveBackend(kernelBackend);
     float *delta = ws.alloc<float>(maxDim);
     float *prev_delta = ws.alloc<float>(maxDim);
     std::copy(d_out, d_out + dims.back(), delta);
@@ -235,8 +233,7 @@ Mlp::backwardSample(const MlpBatchRecord &rec, int s, const float *d_out,
         float *gb = grad + bOffsets[l];
         const float *w = weights.data() + wOffsets[l];
 
-        kb.mlpBackwardPanel(delta, n_out, n_in, act, w, gw, gb,
-                            prev_delta);
+        mlpBackwardPanel(delta, n_out, n_in, act, w, gw, gb, prev_delta);
 
         if (l > 0) {
             // ReLU derivative on the previous layer's pre-activation.

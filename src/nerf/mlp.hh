@@ -19,8 +19,6 @@
 
 namespace instant3d {
 
-class KernelBackend;
-
 /** Output nonlinearity applied after the last layer. */
 enum class OutputActivation
 {
@@ -123,15 +121,6 @@ class Mlp
     /** Multiply-accumulate count of one forward pass. */
     uint64_t macsPerForward() const;
 
-    /**
-     * Route the batched panels (forwardBatch / backwardSample) through
-     * the given kernel backend; nullptr means simd. The scalar
-     * forward()/backward() pair never dispatches -- it *is* the
-     * reference the backends are tested against.
-     */
-    void setKernelBackend(const KernelBackend *backend)
-    { kernelBackend = backend; }
-
   private:
     std::vector<int> dims;
     OutputActivation outAct;
@@ -142,7 +131,6 @@ class Mlp
     std::vector<size_t> actOffsets, preOffsets;
     size_t actPerSample = 0, prePerSample = 0;
     int maxDim = 0;
-    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 
 namespace instant3d {
 
@@ -121,11 +121,9 @@ VolumeRenderer::renderStream(NerfField &field, const SampleStream &stream,
     rec->rgb = ws.alloc<Vec3>(total);
     rec->finalTrans = ws.alloc<float>(stream.numRays);
 
-    resolveBackend(kernelBackend)
-        .compositeStream(stream.spans, stream.numRays, fs, stream.ts,
-                         stream.dt, cfg.background, cfg.tFar, results,
-                         rec->alpha, rec->trans, rec->rgb,
-                         rec->finalTrans);
+    compositeStream(stream.spans, stream.numRays, fs, stream.ts,
+                    stream.dt, cfg.background, cfg.tFar, results,
+                    rec->alpha, rec->trans, rec->rgb, rec->finalTrans);
 }
 
 void
@@ -145,12 +143,10 @@ VolumeRenderer::backwardStream(NerfField &field,
     // each span. Samples whose gradients fall below the skip
     // threshold (occluded points, post-early-stop tails) are flagged
     // and never enter the propagation stage.
-    resolveBackend(kernelBackend)
-        .compositeBackward(stream.spans, stream.numRays, d_colors,
-                           stream.dt, cfg.background,
-                           cfg.gradientSkipThreshold, rec.alpha,
-                           rec.trans, rec.rgb, rec.finalTrans, d_sigma,
-                           d_rgb, skip);
+    compositeBackward(stream.spans, stream.numRays, d_colors, stream.dt,
+                      cfg.background, cfg.gradientSkipThreshold,
+                      rec.alpha, rec.trans, rec.rgb, rec.finalTrans,
+                      d_sigma, d_rgb, skip);
 
     field.backwardStream(rec.field, stream.spans, stream.numRays,
                          d_sigma, d_rgb, skip, update_density,

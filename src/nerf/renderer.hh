@@ -27,8 +27,6 @@
 
 namespace instant3d {
 
-class KernelBackend;
-
 /** Ray-marching configuration for the learned field. */
 struct RendererConfig
 {
@@ -125,15 +123,6 @@ class VolumeRenderer
     void setOccupancyGrid(const OccupancyGrid *grid) { occupancy = grid; }
 
     /**
-     * Route the stream composite kernels (renderStream's per-ray
-     * compositing and backwardStream's suffix recursion) through the
-     * given kernel backend; nullptr means simd. The scalar
-     * renderRay/backwardRay pair stays on its own loops.
-     */
-    void setKernelBackend(const KernelBackend *backend)
-    { kernelBackend = backend; }
-
-    /**
      * March one ray through the field.
      * @param jitter  If non-null, stratified-jitters sample positions
      *                (training); otherwise samples at bin centers (eval).
@@ -166,9 +155,9 @@ class VolumeRenderer
      * build -- the property the render service's cross-request
      * batching relies on. It equals renderRay on ray r where the
      * compiler contracts no mul+add into an FMA, and is within the
-     * kernel backends' tolerance otherwise. The query count (and an
-     * attached trace) may overshoot the composited samples by up to
-     * one block per ray.
+     * batched kernels' tolerance otherwise (kernels/kernels.hh). The
+     * query count (and an attached trace) may overshoot the composited
+     * samples by up to one block per ray.
      */
     void renderRays(NerfField &field, const Ray *rays, int numRays,
                     RayResult *results, Workspace &ws) const;
@@ -212,7 +201,6 @@ class VolumeRenderer
   private:
     RendererConfig cfg;
     const OccupancyGrid *occupancy = nullptr;
-    const KernelBackend *kernelBackend = nullptr; //!< null = simd.
 };
 
 } // namespace instant3d

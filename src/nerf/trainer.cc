@@ -91,17 +91,6 @@ Trainer::Trainer(const Dataset &dataset, const FieldConfig &field_config,
         fieldPtr->setDirtyTracking(true);
 
     pool = std::make_unique<ThreadPool>(cfg.numThreads);
-
-    // One kernel backend per trainer, routed through every batched
-    // kernel: the MLP panels, the grid interp/scatter, the renderer's
-    // stream composite, the dense shard reduction, and the dense Adam
-    // step.
-    backend = createKernelBackend(cfg.kernelBackend);
-    fieldPtr->setKernelBackend(backend.get());
-    rendererPtr->setKernelBackend(backend.get());
-    for (auto &opt : optimizers)
-        opt->setKernelBackend(backend.get());
-
     workspaces.resize(pool->threadCount());
     shards.resize(std::min(cfg.gradShards, cfg.raysPerBatch));
 }

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "kernels/kernel_backend.hh"
 #include "common/workspace.hh"
 #include "nerf/adam.hh"
 #include "nerf/renderer.hh"
@@ -91,15 +90,6 @@ struct TrainConfig
      */
     bool sparseOptimizer = true;
 
-    /**
-     * Kernel backend for the batched hot-path kernels: "simd" (the
-     * order-preserving vectorized loops) or "scalar_ref" (the
-     * reference loops). The INSTANT3D_KERNEL_BACKEND environment
-     * variable overrides this field; any other name is fatal. See
-     * src/kernels/kernel_backend.hh for the determinism contract.
-     */
-    std::string kernelBackend = "simd";
-
     uint64_t seed = 42;
 };
 
@@ -138,8 +128,12 @@ class Trainer
     /** Worker threads in use (after auto resolution). */
     int threadCount() const { return pool->threadCount(); }
 
-    /** Resolved kernel-backend name (after env resolution). */
-    const char *kernelBackendName() const { return backend->name(); }
+    /**
+     * Name of the batched kernel set (src/kernels), always "simd":
+     * there is one. It stays because the benchmark's host record
+     * (perfbench) reads it.
+     */
+    const char *kernelBackendName() const { return "simd"; }
 
     /** The occupancy grid, or nullptr when skipping is disabled. */
     const OccupancyGrid *occupancyGrid() const
@@ -215,7 +209,6 @@ class Trainer
     std::vector<std::unique_ptr<Adam>> optimizers;
     std::vector<ParamGroupId> groups;
     std::unique_ptr<ThreadPool> pool;
-    std::unique_ptr<KernelBackend> backend;
     std::vector<Workspace> workspaces;    //!< One per thread rank.
     std::vector<FieldGradients> shards;   //!< One per ray chunk.
     std::vector<double> chunkLoss;

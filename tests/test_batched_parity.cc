@@ -16,7 +16,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "common/workspace.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
 

@@ -16,7 +16,7 @@
 #include "accel/accelerator.hh"
 #include "accel/sram.hh"
 #include "common/rng.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 #include "nerf/adam.hh"
 #include "nerf/renderer.hh"
 #include "nerf/trainer.hh"

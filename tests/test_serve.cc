@@ -131,7 +131,7 @@ expectImagesEqual(const Image &a, const Image &b)
 // FMA-capable build: the compiler may contract mul+add pairs in the
 // batched kernels and not in the per-sample reference (or vice versa),
 // so agreement with renderRay is tolerance-bounded rather than bitwise
-// (the kernel backends' contract, tests/test_kernel_backends.cc).
+// (the batched kernels' contract, tests/test_kernels.cc).
 constexpr bool kReferenceBitExact = false;
 #else
 constexpr bool kReferenceBitExact = true;

@@ -32,7 +32,7 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "kernels/kernel_backend.hh"
+#include "kernels/kernels.hh"
 #include "nerf/adam.hh"
 #include "nerf/trainer.hh"
 #include "scene/scene.hh"
